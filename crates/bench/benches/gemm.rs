@@ -17,11 +17,10 @@
 use std::time::Instant;
 
 use bitrobust_tensor::{
-    gemm_i8, matmul, matmul_nt, matmul_nt_reference, matmul_reference, transpose, GemmOperandI8,
-    Tensor,
+    matmul, matmul_nt, matmul_nt_reference, matmul_reference, transpose, Tensor,
 };
 use criterion::{criterion_group, Criterion};
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 /// Which kernel pair a shape exercises.
 #[derive(Clone, Copy, PartialEq)]
@@ -74,44 +73,6 @@ fn run_naive(s: &Shape, a: &Tensor, b: &Tensor) -> Tensor {
     }
 }
 
-/// Builds i8 operands for a shape: `A: m x k` row-major and `B` in the
-/// layout the variant implies (`[k, n]` row-major for NN, `[n, k]` stored
-/// and walked transposed for NT — the `QLinear` weight layout).
-fn operands_i8(s: &Shape) -> (Vec<i8>, Vec<i8>) {
-    let mut rng = rand::rngs::StdRng::seed_from_u64(42);
-    let a: Vec<i8> = (0..s.m * s.k).map(|_| rng.gen_range(-127i32..=127) as i8).collect();
-    let b: Vec<i8> = (0..s.k * s.n).map(|_| rng.gen_range(-127i32..=127) as i8).collect();
-    (a, b)
-}
-
-/// The packed integer kernel on the variant's operand views. `c` is
-/// accumulated into, so callers zero it between timing iterations.
-fn run_packed_i8(s: &Shape, a: &[i8], b: &[i8], c: &mut [i32]) {
-    let a_view = GemmOperandI8::row_major(a, s.k);
-    let b_view = match s.variant {
-        Variant::Nn => GemmOperandI8::row_major(b, s.n),
-        Variant::Nt => GemmOperandI8::transposed(b, s.k),
-    };
-    gemm_i8(c, s.n, a_view, b_view, s.m, s.k, s.n);
-}
-
-/// The naive i32-accumulating triple loop the packed kernel is gated
-/// against. Integer adds are exact, so packed vs naive must be *equal*.
-fn run_naive_i8(s: &Shape, a: &[i8], b: &[i8], c: &mut [i32]) {
-    for i in 0..s.m {
-        for l in 0..s.k {
-            let av = a[i * s.k + l] as i32;
-            for j in 0..s.n {
-                let bv = match s.variant {
-                    Variant::Nn => b[l * s.n + j],
-                    Variant::Nt => b[j * s.k + l],
-                } as i32;
-                c[i * s.n + j] += av * bv;
-            }
-        }
-    }
-}
-
 fn bench_gemm(c: &mut Criterion) {
     let mut group = c.benchmark_group("gemm");
     group.sample_size(20);
@@ -122,15 +83,6 @@ fn bench_gemm(c: &mut Criterion) {
         });
         group.bench_function(format!("naive_{}", s.name), |bch| {
             bch.iter(|| run_naive(s, std::hint::black_box(&a), std::hint::black_box(&b)))
-        });
-        let (ai, bi) = operands_i8(s);
-        let mut c = vec![0i32; s.m * s.n];
-        group.bench_function(format!("i8_packed_{}", s.name), |bch| {
-            bch.iter(|| {
-                c.fill(0);
-                run_packed_i8(s, std::hint::black_box(&ai), std::hint::black_box(&bi), &mut c);
-                std::hint::black_box(c[0])
-            })
         });
     }
     group.finish();
@@ -239,73 +191,6 @@ fn emit_json_comparison() {
         ));
     }
 
-    // The integer kernel behind `QuantizedModel::infer`: same shapes, i8
-    // operands, i32 accumulation. Integer adds are exact, so packed must
-    // *equal* the naive triple loop — no tolerance.
-    let mut i8_rows = Vec::new();
-    let mut i8_min_speedup = f64::INFINITY;
-    for s in SHAPES {
-        let (a, b) = operands_i8(s);
-        let mut packed = vec![0i32; s.m * s.n];
-        let mut naive = vec![0i32; s.m * s.n];
-        run_packed_i8(s, &a, &b, &mut packed);
-        run_naive_i8(s, &a, &b, &mut naive);
-        assert_eq!(packed, naive, "i8 packed vs naive must be exactly equal ({})", s.name);
-        let mut again = vec![0i32; s.m * s.n];
-        run_packed_i8(s, &a, &b, &mut again);
-        assert_eq!(packed, again, "i8 kernel must be bit-stable across calls ({})", s.name);
-
-        let ops = 2.0 * s.m as f64 * s.k as f64 * s.n as f64;
-        let iters = (2e7 / ops).clamp(1.0, 500.0) as usize;
-        let naive_secs = best_of(
-            || {
-                naive.fill(0);
-                run_naive_i8(s, &a, &b, &mut naive);
-            },
-            iters,
-            5,
-        );
-        let packed_secs = best_of(
-            || {
-                packed.fill(0);
-                run_packed_i8(s, &a, &b, &mut packed);
-            },
-            iters,
-            5,
-        );
-        let (naive_giops, packed_giops) = (ops / naive_secs / 1e9, ops / packed_secs / 1e9);
-        let speedup = naive_secs / packed_secs;
-        i8_min_speedup = i8_min_speedup.min(speedup);
-        println!(
-            "{:>14} [{:>3}x{:>3}x{:>3}] naive {:6.2} GIOP/s  packed {:6.2} GIOP/s  ({:.2}x)",
-            format!("i8_{}", s.name),
-            s.m,
-            s.k,
-            s.n,
-            naive_giops,
-            packed_giops,
-            speedup
-        );
-        i8_rows.push(format!(
-            "    {{\"name\": \"i8_{}\", \"variant\": \"{}\", \"m\": {}, \"k\": {}, \"n\": {}, \
-             \"naive_secs\": {:.9}, \"packed_secs\": {:.9}, \"naive_giops\": {:.3}, \
-             \"packed_giops\": {:.3}, \"speedup\": {:.3}}}",
-            s.name,
-            match s.variant {
-                Variant::Nn => "nn",
-                Variant::Nt => "nt",
-            },
-            s.m,
-            s.k,
-            s.n,
-            naive_secs,
-            packed_secs,
-            naive_giops,
-            packed_giops,
-            speedup
-        ));
-    }
-
     let fc_shape = SHAPES.iter().find(|s| s.name == "fc_head").expect("fc_head shape");
     let obs_overhead = obs_off_overhead_pct(fc_packed_secs, fc_shape);
     println!("obs-off overhead on fc_head packed kernel: {obs_overhead:.4}%");
@@ -313,10 +198,9 @@ fn emit_json_comparison() {
     let json = format!(
         "{{\n  \"bench\": \"gemm\",\n  \"threads\": {},\n  \"tile\": {{\"mr\": {}, \"nr\": {}, \
          \"mc\": {}, \"kc\": {}, \"nc\": {}}},\n  \"shapes\": [\n{}\n  ],\n  \
-         \"i8_shapes\": [\n{}\n  ],\n  \
          \"fc_speedup\": {:.3},\n  \"conv_min_speedup\": {:.3},\n  \
-         \"i8_min_speedup\": {:.3},\n  \"obs_off_overhead_pct\": {:.4},\n  \
-         \"packed_matches_reference\": true,\n  \"i8_matches_reference\": true\n}}\n",
+         \"obs_off_overhead_pct\": {:.4},\n  \
+         \"packed_matches_reference\": true\n}}\n",
         threads,
         bitrobust_tensor::gemm::MR,
         bitrobust_tensor::gemm::NR,
@@ -324,10 +208,8 @@ fn emit_json_comparison() {
         bitrobust_tensor::gemm::KC,
         bitrobust_tensor::gemm::NC,
         rows.join(",\n"),
-        i8_rows.join(",\n"),
         fc_speedup,
         conv_min_speedup,
-        i8_min_speedup,
         obs_overhead,
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_gemm.json");

@@ -3,7 +3,7 @@
 //! reference path against the parallel fault-injection campaign engine,
 //! plus clean (single-pattern) evaluation through the same engine,
 //! single-model vs data-parallel RandBET training, and per-model
-//! `run_grid` loops vs the orchestrated multi-model sweep (`run_sweep`).
+//! `run_axis` loops vs the orchestrated multi-model sweep (`run_sweep`).
 //!
 //! Besides the criterion benchmarks, running this bench writes a
 //! machine-readable `BENCH_robust_eval.json` at the workspace root with
@@ -17,10 +17,9 @@ use std::time::Instant;
 
 use bitrobust_biterror::UniformChip;
 use bitrobust_core::{
-    build, evaluate, evaluate_serial, robust_eval_uniform, run_grid, run_sweep, train, ArchKind,
-    Campaign, CampaignGrid, ChipAxis, DataParallel, NormKind, QuantizedModel, RandBetVariant,
-    ReplicaStrategy, RobustEval, SweepAxis, SweepModel, SweepOptions, TrainConfig, TrainMethod,
-    TrainReport,
+    build, evaluate, evaluate_serial, robust_eval_uniform, run_axis, run_sweep, train, ArchKind,
+    Campaign, ChipAxis, DataParallel, NormKind, QuantizedModel, RandBetVariant, RobustEval,
+    SweepAxis, SweepModel, SweepOptions, TrainConfig, TrainMethod, TrainReport,
 };
 use bitrobust_data::{AugmentConfig, Dataset, SynthDataset};
 use bitrobust_nn::{Mode, Model};
@@ -82,10 +81,14 @@ fn sweep_setup() -> (Vec<Model>, Vec<f64>, Dataset) {
 }
 
 /// The baseline the orchestrator replaces: one (already parallel)
-/// `run_grid` campaign per model, in sequence.
+/// `run_axis` campaign per model, in sequence.
 fn per_model_grids(models: &[Model], rates: &[f64], test_ds: &Dataset) -> Vec<Vec<RobustEval>> {
-    let grid = CampaignGrid::uniform(QuantScheme::rquant(8), rates.to_vec(), SWEEP_CHIPS, 42);
-    models.iter().map(|m| run_grid(m, &grid, test_ds, BATCH, Mode::Eval).remove(0)).collect()
+    let axis = ChipAxis::uniform(rates.to_vec(), SWEEP_CHIPS, 42);
+    let schemes = [QuantScheme::rquant(8)];
+    models
+        .iter()
+        .map(|m| run_axis(m, &schemes, &axis, test_ds, BATCH, Mode::Eval).remove(0))
+        .collect()
 }
 
 /// The orchestrated path: every model's cells in one fan-out (no store —
@@ -100,36 +103,6 @@ fn orchestrated_sweep(models: &[Model], rates: &[f64], test_ds: &Dataset) -> Vec
     let opts = SweepOptions { batch_size: BATCH, mode: Mode::Eval };
     let results = run_sweep(&entries, &axes, test_ds, &opts, None, |_, _| {});
     (0..models.len()).map(|mi| results.robust(mi, 0)).collect()
-}
-
-/// The native integer-domain path: compile each chip image to a `QNet`
-/// once, then forward the whole test set through it batch by batch —
-/// single-threaded, like the serial campaign reference it is compared to.
-fn native_int8_forward(model: &Model, images: &[QuantizedModel], test_ds: &Dataset) -> usize {
-    let n = test_ds.len();
-    let mut correct = 0;
-    for image in images {
-        let net = image.compile(model).expect("bench MLP must lower to a QNet");
-        let mut start = 0;
-        while start < n {
-            let end = (start + BATCH).min(n);
-            let (x, labels) = test_ds.batch_range(start, end);
-            let logits = net.infer(&x);
-            let classes = logits.dim(1);
-            for (row, &label) in labels.iter().enumerate() {
-                let row = &logits.data()[row * classes..(row + 1) * classes];
-                let pred = row
-                    .iter()
-                    .enumerate()
-                    .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
-                    .map(|(i, _)| i)
-                    .unwrap();
-                correct += (pred == label) as usize;
-            }
-            start = end;
-        }
-    }
-    correct
 }
 
 fn chip_images(model: &Model) -> Vec<QuantizedModel> {
@@ -154,17 +127,6 @@ fn bench_robust_eval(c: &mut Criterion) {
     });
     group.bench_function("campaign_8chip_1000ex", |b| {
         b.iter(|| Campaign::new(&model, &test_ds).batch_size(BATCH).run(&images))
-    });
-    group.bench_function("campaign_per_pattern_8chip_1000ex", |b| {
-        b.iter(|| {
-            Campaign::new(&model, &test_ds)
-                .batch_size(BATCH)
-                .replicas(ReplicaStrategy::PerPattern)
-                .run(&images)
-        })
-    });
-    group.bench_function("native_int8_8chip_1000ex", |b| {
-        b.iter(|| native_int8_forward(&model, &images, &test_ds))
     });
     group.bench_function("clean_serial_1000ex", |b| {
         b.iter(|| evaluate_serial(&model, &test_ds, BATCH, Mode::Eval))
@@ -227,14 +189,6 @@ fn emit_json_comparison() {
     let serial_ref = Campaign::new(&model, &test_ds).batch_size(BATCH).serial().run(&images);
     let campaign_ref = Campaign::new(&model, &test_ds).batch_size(BATCH).run(&images);
     assert_eq!(serial_ref, campaign_ref, "engine must be bit-identical to the serial path");
-    let per_pattern_ref = Campaign::new(&model, &test_ds)
-        .batch_size(BATCH)
-        .replicas(ReplicaStrategy::PerPattern)
-        .run(&images);
-    assert_eq!(
-        serial_ref, per_pattern_ref,
-        "per-pattern replicas must be bit-identical to the serial path"
-    );
     let clean_serial_ref = evaluate_serial(&model, &test_ds, BATCH, Mode::Eval);
     let clean_campaign_ref = evaluate(&model, &test_ds, BATCH, Mode::Eval);
     assert_eq!(
@@ -259,27 +213,6 @@ fn emit_json_comparison() {
     );
     let campaign_secs =
         best_of(|| drop(Campaign::new(&model, &test_ds).batch_size(BATCH).run(&images)), reps);
-    // `campaign_secs` above already measures the shared-image default
-    // (patterns held as integer images, f32 scratch bounded by the pool);
-    // it is re-emitted as `int8_shared_image_secs` next to the legacy
-    // per-pattern strategy and the fully native int8 forward.
-    let int8_per_pattern_secs = best_of(
-        || {
-            drop(
-                Campaign::new(&model, &test_ds)
-                    .batch_size(BATCH)
-                    .replicas(ReplicaStrategy::PerPattern)
-                    .run(&images),
-            )
-        },
-        reps,
-    );
-    let int8_native_infer_secs = best_of(
-        || {
-            native_int8_forward(&model, &images, &test_ds);
-        },
-        reps,
-    );
     let clean_serial_secs = best_of(
         || {
             evaluate_serial(&model, &test_ds, BATCH, Mode::Eval);
@@ -325,9 +258,7 @@ fn emit_json_comparison() {
          \"examples\": {},\n  \"n_chips\": {},\n  \"rate\": {},\n  \"batch_size\": {},\n  \
          \"threads\": {},\n  \"threads_env\": {},\n  \
          \"serial_secs\": {:.6},\n  \"campaign_secs\": {:.6},\n  \
-         \"speedup\": {:.3},\n  \"int8_shared_image_secs\": {:.6},\n  \
-         \"int8_per_pattern_secs\": {:.6},\n  \"int8_native_infer_secs\": {:.6},\n  \
-         \"int8_native_speedup\": {:.3},\n  \"clean_serial_secs\": {:.6},\n  \
+         \"speedup\": {:.3},\n  \"clean_serial_secs\": {:.6},\n  \
          \"clean_campaign_secs\": {:.6},\n  \"clean_speedup\": {:.3},\n  \
          \"train_serial_secs\": {:.6},\n  \"train_parallel_secs\": {:.6},\n  \
          \"train_speedup\": {:.3},\n  \"train_shards\": {},\n  \
@@ -344,10 +275,6 @@ fn emit_json_comparison() {
         serial_secs,
         campaign_secs,
         serial_secs / campaign_secs,
-        campaign_secs,
-        int8_per_pattern_secs,
-        int8_native_infer_secs,
-        serial_secs / int8_native_infer_secs,
         clean_serial_secs,
         clean_campaign_secs,
         clean_serial_secs / clean_campaign_secs,

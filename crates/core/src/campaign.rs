@@ -34,24 +34,10 @@
 //! * [`Campaign::serial`] — the one-batch-at-a-time reference path,
 //!   bit-identical to the parallel engine (determinism suite, benchmarks).
 //!
-//! ## Migration from the pre-builder entry points
-//!
-//! The seven historical free functions are deprecated thin wrappers; the
-//! builder spelling is:
-//!
-//! | deprecated | builder |
-//! |---|---|
-//! | `eval_images(t, imgs, ds, b, m)` | `Campaign::new(t, ds).batch_size(b).mode(m).run(imgs)` |
-//! | `eval_images_sized(.., sizing)` | `….sizing(sizing).run(imgs)` |
-//! | `eval_images_with(t, n, make, ..)` | `….run_lazy(n, make)` |
-//! | `eval_images_streaming(.., cb)` | `….on_cell(cb).run(imgs)` |
-//! | `eval_images_streaming_with(..)` | `….on_cell(cb).run_lazy(n, make)` |
-//! | `eval_cells_streaming_with(ts, ..)` | `Campaign::multi(ts, ds)….on_cell(cb).run_cells(n, make)` |
-//! | `eval_images_serial(..)` | `….serial().run(imgs)` |
-//!
-//! Defaults: `batch_size = EVAL_BATCH`, `mode = Mode::Eval`,
-//! `sizing = ItemSizing::Adaptive`. All paths return byte-identical
-//! results for the same cells, so migration never changes numbers.
+//! Defaults: `batch_size = EVAL_BATCH`, `mode = Mode::Eval`. All paths
+//! return byte-identical results for the same cells. Grids of cells —
+//! schemes × rates × chips, or a profiled chip's voltage/offset span — are
+//! a [`ChipAxis`] run through [`run_axis`].
 //!
 //! # Work-item granularity
 //!
@@ -59,20 +45,19 @@
 //! error pattern — i.e. per grid cell) evaluated over a dataset. The unit
 //! of parallel work is a `(pattern, batch)` pair: every test batch of
 //! every pattern is an independent item, fanned out over the
-//! `bitrobust-tensor` thread pool by [`crate::scheduler::execute`]. Fine
-//! granularity keeps all cores busy even when the pattern count is small
-//! (e.g. 3 profiled-chip offsets) or the dataset is large, and the pool's
-//! self-scheduling balances uneven batch costs. The layers' own
+//! `bitrobust-tensor` thread pool by [`crate::scheduler::execute_tracked`].
+//! Fine granularity keeps all cores busy even when the pattern count is
+//! small (e.g. 3 profiled-chip offsets) or the dataset is large, and the
+//! pool's self-scheduling balances uneven batch costs. The layers' own
 //! `parallel_for` calls nest harmlessly: the pool runs nested submissions
 //! inline on the claiming worker.
 //!
 //! When the item count far exceeds the pool parallelism (50 chips × 8
-//! rates × many batches), per-batch items only add scheduling overhead;
-//! [`ItemSizing::Adaptive`] (the default) merges runs of contiguous
-//! batches of one pattern into larger items. Sizing never changes
-//! results: items only decide *which worker computes which per-batch
-//! partials* — the partials themselves and their reduction order are
-//! fixed.
+//! rates × many batches), per-batch items only add scheduling overhead, so
+//! the scheduler merges runs of contiguous batches of one pattern into
+//! larger items. Sizing never changes results: items only decide *which
+//! worker computes which per-batch partials* — the partials themselves and
+//! their reduction order are fixed.
 //!
 //! The same engine also serves **clean evaluation**: a single-pattern
 //! campaign whose one "replica" is the caller's model itself
@@ -82,34 +67,24 @@
 //! callback, in cell order, as soon as its wave completes — progress
 //! reporting without giving up byte-identical results.
 //!
-//! # Replica strategy
+//! # Replicas
 //!
 //! Evaluating a pattern takes a model whose parameters hold the pattern's
-//! dequantized (bit-error-perturbed) weights. Replicas are immutable once
-//! built — workers evaluate batches through [`Model::infer`], which takes
-//! `&self` and touches no activation caches — and [`ReplicaStrategy`]
-//! picks how they are materialized:
+//! dequantized (bit-error-perturbed) weights. Patterns exist only as their
+//! **quantized integer images** (~4× smaller than an `f32` replica); each
+//! work item checks an `f32` scratch replica out of a
+//! [`crate::scheduler::ScratchReplicas`] pool, writes its pattern's image
+//! over the parameters, evaluates its batches through [`Model::infer`]
+//! (which takes `&self` and touches no activation caches), and parks the
+//! replica again. Live `f32` replicas are bounded by the pool parallelism
+//! instead of the pattern count, so eager campaigns run as **one wave of
+//! all cells**.
 //!
-//! * [`ReplicaStrategy::SharedImage`] (the default) — patterns exist only
-//!   as their **quantized integer images** (~4× smaller than an `f32`
-//!   replica); each work item checks an `f32` scratch replica out of a
-//!   [`crate::scheduler::ScratchReplicas`] pool, writes its pattern's
-//!   image over the parameters, evaluates its batches, and parks the
-//!   replica again. Live `f32` replicas are bounded by the pool
-//!   parallelism instead of the pattern count, so eager campaigns run as
-//!   **one wave of all cells** — no [`MAX_REPLICAS`] chunking.
-//! * [`ReplicaStrategy::PerPattern`] — the historical layout: one
-//!   persistent replica per wave pattern in a
-//!   [`crate::scheduler::ReplicaPool`], at most [`MAX_REPLICAS`] alive at
-//!   a time, larger campaigns chunked. Kept as the reference layout the
-//!   determinism suite compares against.
-//!
-//! Both strategies are **byte-identical**: the image write overwrites
-//! every parameter tensor and evaluation reads nothing else, so each
-//! `(pattern, batch)` partial is computed from identical bytes either
-//! way. The lazy entry points build the perturbed *quantized images* one
-//! wave at a time under both strategies, so peak memory stays at one wave
-//! of images for model-zoo-sized grids.
+//! A reused replica is **byte-identical** to a fresh clone: the image
+//! write overwrites every parameter tensor and evaluation reads nothing
+//! else. The lazy entry points build the perturbed *quantized images* one
+//! wave at a time, so peak memory stays at one wave of images for
+//! model-zoo-sized grids.
 //!
 //! # Determinism guarantee
 //!
@@ -132,7 +107,7 @@
 //! # Examples
 //!
 //! ```no_run
-//! use bitrobust_core::{build, run_grid, ArchKind, CampaignGrid, NormKind, EVAL_BATCH};
+//! use bitrobust_core::{build, run_axis, ArchKind, ChipAxis, NormKind, EVAL_BATCH};
 //! use bitrobust_data::SynthDataset;
 //! use bitrobust_nn::Mode;
 //! use bitrobust_quant::QuantScheme;
@@ -144,8 +119,9 @@
 //!
 //! // One campaign: 2 rates x 50 chips = 100 grid cells, all parallel.
 //! // Evaluation is read-only: a shared `&Model` is all the engine needs.
-//! let grid = CampaignGrid::uniform(QuantScheme::rquant(8), vec![1e-3, 1e-2], 50, 1000);
-//! let sweep = run_grid(&model, &grid, &test_ds, EVAL_BATCH, Mode::Eval).remove(0);
+//! let axis = ChipAxis::uniform(vec![1e-3, 1e-2], 50, 1000);
+//! let schemes = [QuantScheme::rquant(8)];
+//! let sweep = run_axis(&model, &schemes, &axis, &test_ds, EVAL_BATCH, Mode::Eval).remove(0);
 //! println!("RErr at p=1%: {:.2}%", 100.0 * sweep[1].mean_error);
 //! ```
 
@@ -156,25 +132,8 @@ use bitrobust_quant::QuantScheme;
 use bitrobust_tensor::softmax_rows;
 
 use crate::eval::{EvalResult, RobustEval, EVAL_BATCH};
-use crate::scheduler::{self, ReplicaPool, ScratchReplicas};
+use crate::scheduler::{self, ScratchReplicas};
 use crate::QuantizedModel;
-
-pub use crate::scheduler::{ItemSizing, MAX_REPLICAS};
-
-/// How a campaign materializes the model replicas its patterns are
-/// evaluated through. See the [module docs](self) for the full contract;
-/// the strategies are byte-identical and differ only in memory profile.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum ReplicaStrategy {
-    /// Patterns stay as shared quantized integer images; `f32` scratch
-    /// replicas are checked out per work item, bounded by the pool
-    /// parallelism (the default).
-    #[default]
-    SharedImage,
-    /// One persistent `f32` replica per wave pattern, campaigns chunked at
-    /// [`MAX_REPLICAS`] (the historical layout).
-    PerPattern,
-}
 
 /// Per-`(pattern, batch)` partial statistics.
 struct BatchPartial {
@@ -217,7 +176,7 @@ fn reduce_pattern(partials: &[BatchPartial], n: usize) -> EvalResult {
     EvalResult { error: wrong as f32 / n as f32, confidence: (conf / n as f64) as f32 }
 }
 
-/// Builds the per-pattern replica: template clone + dequantized weights.
+/// Builds a pattern's replica: template clone + dequantized weights.
 fn build_replica(template: &Model, image: &QuantizedModel) -> Model {
     let mut replica = template.clone();
     image.write_to(&mut replica);
@@ -247,18 +206,15 @@ impl CellImage<'_> {
 /// [`Campaign::multi`] (per-cell templates, for multi-model sweeps),
 /// adjust the optional knobs, then run via [`Campaign::run`],
 /// [`Campaign::run_lazy`], or [`Campaign::run_cells`]. See the
-/// [module docs](self) for the configuration defaults and the migration
-/// table from the deprecated free functions.
+/// [module docs](self) for the configuration defaults.
 ///
-/// All run paths — eager, lazy, streaming, serial, any
-/// [`ItemSizing`] — return byte-identical results for the same cells.
+/// All run paths — eager, lazy, streaming, serial — return byte-identical
+/// results for the same cells.
 pub struct Campaign<'a> {
     templates: Vec<&'a Model>,
     dataset: &'a Dataset,
     batch_size: usize,
     mode: Mode,
-    sizing: ItemSizing,
-    replicas: ReplicaStrategy,
     serial: bool,
     #[allow(clippy::type_complexity)]
     on_cell: Option<Box<dyn FnMut(usize, &EvalResult) + 'a>>,
@@ -282,8 +238,6 @@ impl<'a> Campaign<'a> {
             dataset,
             batch_size: EVAL_BATCH,
             mode: Mode::Eval,
-            sizing: ItemSizing::Adaptive,
-            replicas: ReplicaStrategy::default(),
             serial: false,
             on_cell: None,
         }
@@ -301,25 +255,6 @@ impl<'a> Campaign<'a> {
     /// rejected at run time).
     pub fn mode(mut self, mode: Mode) -> Self {
         self.mode = mode;
-        self
-    }
-
-    /// Work-item sizing (default [`ItemSizing::Adaptive`]). Results are
-    /// byte-identical across sizings; the knob only trades scheduling
-    /// overhead against load balance (and lets the determinism suite pin
-    /// that claim).
-    pub fn sizing(mut self, sizing: ItemSizing) -> Self {
-        self.sizing = sizing;
-        self
-    }
-
-    /// Replica materialization strategy (default
-    /// [`ReplicaStrategy::SharedImage`]). Results are byte-identical
-    /// across strategies; the knob only trades `f32` replica memory
-    /// against per-item image writes (and lets the determinism suite pin
-    /// that claim).
-    pub fn replicas(mut self, replicas: ReplicaStrategy) -> Self {
-        self.replicas = replicas;
         self
     }
 
@@ -356,10 +291,9 @@ impl<'a> Campaign<'a> {
     /// Like [`Campaign::run`], but builds the quantized images **lazily**,
     /// one wave of patterns at a time: `make_image(i)` is called for
     /// `i in 0..n_images` as each wave starts, so at most one wave of
-    /// images (plus its replicas, never more than
-    /// [`MAX_REPLICAS`]) is alive at a
-    /// time. Use this for large grids where materializing every perturbed
-    /// weight copy up front would dominate memory.
+    /// images (plus the scratch replicas, bounded by the pool parallelism)
+    /// is alive at a time. Use this for large grids where materializing
+    /// every perturbed weight copy up front would dominate memory.
     ///
     /// # Panics
     ///
@@ -405,23 +339,14 @@ impl<'a> Campaign<'a> {
     }
 
     /// The one driver behind every run path: waves of cells through a
-    /// persistent replica pool and the shared scheduler.
+    /// scratch replica pool and the shared scheduler.
     fn drive<'i>(
         self,
         n_cells: usize,
         make: impl Fn(usize) -> (usize, CellImage<'i>),
         eager: bool,
     ) -> Vec<EvalResult> {
-        let Campaign {
-            templates,
-            dataset,
-            batch_size,
-            mode,
-            sizing,
-            replicas: strategy,
-            serial,
-            mut on_cell,
-        } = self;
+        let Campaign { templates, dataset, batch_size, mode, serial, mut on_cell } = self;
         validate(dataset, batch_size, mode);
         let n = dataset.len();
         let mut results = Vec::with_capacity(n_cells);
@@ -444,23 +369,17 @@ impl<'a> Campaign<'a> {
             return results;
         }
 
-        // Wave sizing. Shared-image replicas are bounded by parallelism,
-        // so eager silent runs take all cells in one wave; per-pattern
-        // replicas chunk eager runs at MAX_REPLICAS. Lazy and streaming
-        // runs use pool-sized waves under both strategies so image
-        // construction stays bounded and cells land promptly. The split
-        // never changes bytes — cells are independent — only the memory
-        // and delivery profile.
+        // Wave sizing. Scratch replicas are bounded by parallelism, so
+        // eager silent runs take all cells in one wave. Lazy and streaming
+        // runs use pool-sized waves so image construction stays bounded and
+        // cells land promptly. The split never changes bytes — cells are
+        // independent — only the memory and delivery profile.
         let n_batches = n.div_ceil(batch_size);
         let wave = if eager && on_cell.is_none() {
-            match strategy {
-                ReplicaStrategy::SharedImage => n_cells.max(1),
-                ReplicaStrategy::PerPattern => scheduler::MAX_REPLICAS,
-            }
+            n_cells.max(1)
         } else {
             scheduler::wave_size(n_batches)
         };
-        let mut pool = ReplicaPool::new();
         let scratch = ScratchReplicas::new();
         let mut start = 0;
         while start < n_cells {
@@ -470,65 +389,42 @@ impl<'a> Campaign<'a> {
             bitrobust_obs::counter_add("campaign.cells", (end - start) as u64);
             bitrobust_obs::record("campaign.wave_cells", (end - start) as u64);
             let cells: Vec<(usize, CellImage)> = (start..end).map(&make).collect();
-            match strategy {
-                ReplicaStrategy::PerPattern => {
-                    pool.prepare(
-                        cells.len(),
-                        |i| {
-                            let template = cells[i].0;
-                            assert!(
-                                template < templates.len(),
-                                "cell {} template index {template} out of range",
-                                start + i
-                            );
-                            (template, templates[template])
-                        },
-                        |i, replica| cells[i].1.image().write_to(replica),
+            let partials = scheduler::execute_tracked(
+                cells.len(),
+                n_batches,
+                |track| {
+                    let (template, ref cell) = cells[track];
+                    assert!(
+                        template < templates.len(),
+                        "cell {} template index {template} out of range",
+                        start + track
                     );
-                    let replicas: Vec<&Model> = (0..cells.len()).map(|i| pool.replica(i)).collect();
-                    eval_replicas(&replicas, dataset, batch_size, mode, sizing, &mut results);
-                }
-                ReplicaStrategy::SharedImage => {
-                    let partials = scheduler::execute_tracked(
-                        cells.len(),
-                        n_batches,
-                        sizing,
-                        |track| {
-                            let (template, ref cell) = cells[track];
-                            assert!(
-                                template < templates.len(),
-                                "cell {} template index {template} out of range",
-                                start + track
-                            );
-                            let tag = start + track;
-                            // The guard rides in the item context, so its
-                            // drop in `done` times the whole work item
-                            // (checkout through give-back) — per-cell
-                            // latency for shared-image campaigns.
-                            let item_span = bitrobust_obs::span("campaign.item");
-                            let replica = match scratch.checkout(template) {
-                                Some((last, replica)) if last == tag => replica,
-                                Some((_, mut replica)) => {
-                                    cell.image().write_to(&mut replica);
-                                    replica
-                                }
-                                None => build_replica(templates[template], cell.image()),
-                            };
-                            (template, tag, replica, item_span)
-                        },
-                        |(_, _, replica, _), _, batch| {
-                            let first = batch * batch_size;
-                            eval_batch(replica, dataset, first, (first + batch_size).min(n), mode)
-                        },
-                        |_, (template, tag, replica, item_span)| {
-                            scratch.give_back(template, tag, replica);
-                            drop(item_span);
-                        },
-                    );
-                    for per_pattern in partials.chunks(n_batches) {
-                        results.push(reduce_pattern(per_pattern, n));
-                    }
-                }
+                    let tag = start + track;
+                    // The guard rides in the item context, so its drop in
+                    // `done` times the whole work item (checkout through
+                    // give-back) — per-cell latency.
+                    let item_span = bitrobust_obs::span("campaign.item");
+                    let replica = match scratch.checkout(template) {
+                        Some((last, replica)) if last == tag => replica,
+                        Some((_, mut replica)) => {
+                            cell.image().write_to(&mut replica);
+                            replica
+                        }
+                        None => build_replica(templates[template], cell.image()),
+                    };
+                    (template, tag, replica, item_span)
+                },
+                |(_, _, replica, _), _, batch| {
+                    let first = batch * batch_size;
+                    eval_batch(replica, dataset, first, (first + batch_size).min(n), mode)
+                },
+                |_, (template, tag, replica, item_span)| {
+                    scratch.give_back(template, tag, replica);
+                    drop(item_span);
+                },
+            );
+            for per_pattern in partials.chunks(n_batches) {
+                results.push(reduce_pattern(per_pattern, n));
             }
             if let Some(callback) = on_cell.as_mut() {
                 for (i, result) in results.iter().enumerate().take(end).skip(start) {
@@ -551,9 +447,14 @@ pub(crate) fn eval_model(
     mode: Mode,
 ) -> EvalResult {
     validate(dataset, batch_size, mode);
-    let mut results = Vec::with_capacity(1);
-    eval_replicas(&[model], dataset, batch_size, mode, ItemSizing::Adaptive, &mut results);
-    results.pop().expect("single-pattern campaign yields one result")
+    let n = dataset.len();
+    // Per-batch partials land in dedicated slots and are reduced serially
+    // in batch order — independent of thread count and scheduling.
+    let partials = scheduler::execute(1, n.div_ceil(batch_size), |_, batch| {
+        let start = batch * batch_size;
+        eval_batch(model, dataset, start, (start + batch_size).min(n), mode)
+    });
+    reduce_pattern(&partials, n)
 }
 
 fn validate(dataset: &Dataset, batch_size: usize, mode: Mode) {
@@ -562,184 +463,8 @@ fn validate(dataset: &Dataset, batch_size: usize, mode: Mode) {
     assert!(!dataset.is_empty(), "dataset must not be empty");
 }
 
-/// The engine core: evaluates shared model replicas over `dataset` via the
-/// scheduler's `(pattern, batch)` grid, appending one [`EvalResult`] per
-/// replica in order. Per-batch partials land in dedicated slots and are
-/// reduced serially in `(pattern, batch)` order — results are independent
-/// of thread count, scheduling, *and* work-item sizing.
-fn eval_replicas(
-    replicas: &[&Model],
-    dataset: &Dataset,
-    batch_size: usize,
-    mode: Mode,
-    sizing: ItemSizing,
-    results: &mut Vec<EvalResult>,
-) {
-    let n = dataset.len();
-    let n_batches = n.div_ceil(batch_size);
-    let partials = scheduler::execute(replicas.len(), n_batches, sizing, |pattern, batch| {
-        let start = batch * batch_size;
-        let end = (start + batch_size).min(n);
-        eval_batch(replicas[pattern], dataset, start, end, mode)
-    });
-    for per_pattern in partials.chunks(n_batches) {
-        results.push(reduce_pattern(per_pattern, n));
-    }
-}
-
-/// Evaluates every quantized image over `dataset`, in parallel.
-#[deprecated(note = "use `Campaign::new(template, dataset).batch_size(..).mode(..).run(images)`")]
-pub fn eval_images(
-    template: &Model,
-    images: &[QuantizedModel],
-    dataset: &Dataset,
-    batch_size: usize,
-    mode: Mode,
-) -> Vec<EvalResult> {
-    Campaign::new(template, dataset).batch_size(batch_size).mode(mode).run(images)
-}
-
-/// [`Campaign::run`] with explicit work-item [`ItemSizing`].
-#[deprecated(note = "use `Campaign::new(template, dataset)…sizing(sizing).run(images)`")]
-pub fn eval_images_sized(
-    template: &Model,
-    images: &[QuantizedModel],
-    dataset: &Dataset,
-    batch_size: usize,
-    mode: Mode,
-    sizing: ItemSizing,
-) -> Vec<EvalResult> {
-    Campaign::new(template, dataset).batch_size(batch_size).mode(mode).sizing(sizing).run(images)
-}
-
-/// Lazily built images, one wave at a time.
-#[deprecated(note = "use `Campaign::new(template, dataset)…run_lazy(n_images, make_image)`")]
-pub fn eval_images_with(
-    template: &Model,
-    n_images: usize,
-    make_image: impl Fn(usize) -> QuantizedModel,
-    dataset: &Dataset,
-    batch_size: usize,
-    mode: Mode,
-) -> Vec<EvalResult> {
-    Campaign::new(template, dataset)
-        .batch_size(batch_size)
-        .mode(mode)
-        .run_lazy(n_images, make_image)
-}
-
-/// Streaming per-cell delivery over pre-built images.
-#[deprecated(note = "use `Campaign::new(template, dataset)…on_cell(cb).run(images)`")]
-pub fn eval_images_streaming(
-    template: &Model,
-    images: &[QuantizedModel],
-    dataset: &Dataset,
-    batch_size: usize,
-    mode: Mode,
-    on_cell: impl FnMut(usize, &EvalResult),
-) -> Vec<EvalResult> {
-    Campaign::new(template, dataset).batch_size(batch_size).mode(mode).on_cell(on_cell).run(images)
-}
-
-/// Lazy image construction *and* per-cell streaming delivery.
-#[deprecated(note = "use `Campaign::new(template, dataset)…on_cell(cb).run_lazy(n, make_image)`")]
-pub fn eval_images_streaming_with(
-    template: &Model,
-    n_images: usize,
-    make_image: impl Fn(usize) -> QuantizedModel,
-    dataset: &Dataset,
-    batch_size: usize,
-    mode: Mode,
-    on_cell: impl FnMut(usize, &EvalResult),
-) -> Vec<EvalResult> {
-    Campaign::new(template, dataset)
-        .batch_size(batch_size)
-        .mode(mode)
-        .on_cell(on_cell)
-        .run_lazy(n_images, make_image)
-}
-
-/// The multi-model streaming campaign.
-#[deprecated(
-    note = "use `Campaign::multi(templates, dataset)…on_cell(cb).run_cells(n, make_cell)`"
-)]
-pub fn eval_cells_streaming_with(
-    templates: &[&Model],
-    n_cells: usize,
-    make_cell: impl Fn(usize) -> (usize, QuantizedModel),
-    dataset: &Dataset,
-    batch_size: usize,
-    mode: Mode,
-    on_cell: impl FnMut(usize, &EvalResult),
-) -> Vec<EvalResult> {
-    Campaign::multi(templates, dataset)
-        .batch_size(batch_size)
-        .mode(mode)
-        .on_cell(on_cell)
-        .run_cells(n_cells, make_cell)
-}
-
-/// The serial reference implementation: one pattern and one batch at a
-/// time on the calling thread, bit-identical results.
-#[deprecated(note = "use `Campaign::new(template, dataset)…serial().run(images)`")]
-pub fn eval_images_serial(
-    template: &Model,
-    images: &[QuantizedModel],
-    dataset: &Dataset,
-    batch_size: usize,
-    mode: Mode,
-) -> Vec<EvalResult> {
-    Campaign::new(template, dataset).batch_size(batch_size).mode(mode).serial().run(images)
-}
-
-/// A grid of fault-injection campaign cells: every combination of
-/// quantization scheme, bit error rate, and simulated uniform chip.
-///
-/// Chip seeds are `chip_seed_base + chip_index`, matching the paper's
-/// protocol of fixing the same chips across all models and rates.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CampaignGrid {
-    /// Quantization schemes to evaluate (each gets its own quantization).
-    pub schemes: Vec<QuantScheme>,
-    /// Bit error rates `p`.
-    pub rates: Vec<f64>,
-    /// Number of simulated chips per (scheme, rate) cell.
-    pub n_chips: usize,
-    /// Seed of chip 0; chip `c` uses `chip_seed_base + c`.
-    pub chip_seed_base: u64,
-}
-
-impl CampaignGrid {
-    /// A single-scheme grid (the common rate-sweep shape).
-    pub fn uniform(
-        scheme: QuantScheme,
-        rates: Vec<f64>,
-        n_chips: usize,
-        chip_seed_base: u64,
-    ) -> Self {
-        Self { schemes: vec![scheme], rates, n_chips, chip_seed_base }
-    }
-
-    /// Total number of grid cells (= quantized images evaluated).
-    pub fn n_cells(&self) -> usize {
-        self.schemes.len() * self.rates.len() * self.n_chips
-    }
-}
-
-/// Identifies one cell of a [`CampaignGrid`] by its indices.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GridCell {
-    /// Index into [`CampaignGrid::schemes`].
-    pub scheme: usize,
-    /// Index into [`CampaignGrid::rates`].
-    pub rate: usize,
-    /// Chip index in `0..n_chips`.
-    pub chip: usize,
-}
-
-/// One heterogeneous injection axis: the generalization of
-/// [`CampaignGrid`]'s uniform-chips-only span to *any* family of error
-/// patterns the paper evaluates. An axis is a grid of **groups** (one per
+/// One heterogeneous injection axis: any family of error patterns the
+/// paper evaluates. An axis is a grid of **groups** (one per
 /// bit error rate) times **points per group** (simulated chips, or
 /// weight-to-memory mapping offsets), and every point deterministically
 /// yields one perturbed quantized image.
@@ -749,14 +474,13 @@ pub struct GridCell {
 /// campaign (profiled-chip synthesis, rate→voltage resolution) before any
 /// cell is built.
 ///
-/// Uniform grids are not a separate code path: `robust_eval_uniform`,
-/// [`run_grid`], and the sweep orchestrator all drive
+/// Uniform grids are not a separate code path: `robust_eval_uniform`, the
+/// experiments' rate sweeps, and the sweep orchestrator all drive
 /// [`ChipAxis::Uniform`] through [`run_axis`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum ChipAxis {
     /// Uniform random chips: `rates × n_chips` cells with chip `c` seeded
-    /// `chip_seed_base + c` — exactly [`CampaignGrid`]'s span, same seeds,
-    /// same cell order (rate-major, then chip).
+    /// `chip_seed_base + c`, in rate-major, then chip order.
     Uniform {
         /// Bit error rates `p`.
         rates: Vec<f64>,
@@ -771,8 +495,8 @@ pub enum ChipAxis {
 }
 
 impl ChipAxis {
-    /// The uniform axis matching `CampaignGrid { rates, n_chips,
-    /// chip_seed_base }`.
+    /// A uniform-chip axis: `rates × n_chips` cells, chip `c` seeded
+    /// `chip_seed_base + c`.
     pub fn uniform(rates: Vec<f64>, n_chips: usize, chip_seed_base: u64) -> Self {
         ChipAxis::Uniform { rates, n_chips, chip_seed_base }
     }
@@ -879,10 +603,11 @@ pub struct AxisCell {
 /// once per scheme, builds every axis point's perturbed image lazily, and
 /// fans all cells out together. Returns `[scheme][group]` [`RobustEval`]s.
 ///
-/// This is the one axis-based evaluation surface: uniform grids
-/// ([`run_grid`], `robust_eval_uniform`) and profiled Tab. 5-style
-/// voltage/offset sweeps are both [`ChipAxis`] variants driven through
-/// here.
+/// This is the one grid surface: uniform rate × chip grids
+/// (`robust_eval_uniform`, the experiments' rate sweeps) and profiled
+/// Tab. 5-style voltage/offset sweeps are both [`ChipAxis`] variants driven
+/// through here. The model is only read; patterns are written into scratch
+/// replicas, never into its weights.
 ///
 /// # Panics
 ///
@@ -945,55 +670,6 @@ pub fn run_axis_streaming(
             cells.chunks(group).map(RobustEval::from_results).collect()
         })
         .collect()
-}
-
-/// Runs a whole [`CampaignGrid`] as **one** parallel campaign.
-///
-/// A thin uniform-axis spelling of [`run_axis`]: quantizes the model once
-/// per scheme, injects every (rate, chip) pattern, and evaluates all cells
-/// in a single fan-out. Returns `[scheme][rate]` [`RobustEval`]s whose
-/// per-chip `errors` are bit-identical to running `robust_eval_uniform`
-/// serially per rate with the same seeds.
-///
-/// The model is only read; its weights are never touched (patterns live in
-/// per-pattern replicas).
-///
-/// # Panics
-///
-/// Panics if the grid is empty in any dimension, or on the
-/// [`Campaign::run`] conditions.
-pub fn run_grid(
-    model: &Model,
-    grid: &CampaignGrid,
-    dataset: &Dataset,
-    batch_size: usize,
-    mode: Mode,
-) -> Vec<Vec<RobustEval>> {
-    run_grid_streaming(model, grid, dataset, batch_size, mode, |_, _| {})
-}
-
-/// [`run_grid`] with a per-cell progress callback: `on_cell(cell, result)`
-/// fires for every (scheme, rate, chip) cell — in scheme-major, then
-/// rate-major, then chip order — as soon as the cell's wave of the
-/// campaign completes. The returned grid is byte-identical to
-/// [`run_grid`]'s; the callback only adds observability (long sweeps use
-/// it for progress output).
-///
-/// # Panics
-///
-/// As [`run_grid`].
-pub fn run_grid_streaming(
-    model: &Model,
-    grid: &CampaignGrid,
-    dataset: &Dataset,
-    batch_size: usize,
-    mode: Mode,
-    mut on_cell: impl FnMut(GridCell, &EvalResult),
-) -> Vec<Vec<RobustEval>> {
-    let axis = ChipAxis::uniform(grid.rates.clone(), grid.n_chips, grid.chip_seed_base);
-    run_axis_streaming(model, &grid.schemes, &axis, dataset, batch_size, mode, |cell, result| {
-        on_cell(GridCell { scheme: cell.scheme, rate: cell.group, chip: cell.point }, result)
-    })
 }
 
 #[cfg(test)]
@@ -1082,15 +758,11 @@ mod tests {
     }
 
     #[test]
-    fn run_grid_groups_cells_by_scheme_and_rate() {
+    fn run_axis_groups_cells_by_scheme_and_rate() {
         let (model, test) = tiny_setup();
-        let grid = CampaignGrid {
-            schemes: vec![QuantScheme::rquant(8), QuantScheme::rquant(4)],
-            rates: vec![0.001, 0.01],
-            n_chips: 3,
-            chip_seed_base: 1000,
-        };
-        let out = run_grid(&model, &grid, &test, EVAL_BATCH, Mode::Eval);
+        let schemes = [QuantScheme::rquant(8), QuantScheme::rquant(4)];
+        let axis = ChipAxis::uniform(vec![0.001, 0.01], 3, 1000);
+        let out = run_axis(&model, &schemes, &axis, &test, EVAL_BATCH, Mode::Eval);
         assert_eq!(out.len(), 2);
         assert!(out.iter().all(|per_rate| per_rate.len() == 2));
         assert!(out.iter().flatten().all(|r| r.errors.len() == 3));
@@ -1110,48 +782,6 @@ mod tests {
     }
 
     #[test]
-    fn shared_image_matches_per_pattern_bit_for_bit() {
-        let (mut model, test) = tiny_setup();
-        let images = uniform_images(&mut model, 6, 0.02);
-        let shared =
-            Campaign::new(&model, &test).replicas(ReplicaStrategy::SharedImage).run(&images);
-        let per_pattern =
-            Campaign::new(&model, &test).replicas(ReplicaStrategy::PerPattern).run(&images);
-        let serial = Campaign::new(&model, &test).serial().run(&images);
-        assert_eq!(shared, per_pattern, "replica strategies must be byte-identical");
-        assert_eq!(shared, serial, "shared-image engine must match the serial reference");
-    }
-
-    #[test]
-    fn shared_image_streaming_and_multi_template_match_per_pattern() {
-        let (mut model_a, test) = tiny_setup();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
-        let mut model_b = build(ArchKind::Mlp, [1, 14, 14], 10, NormKind::Group, &mut rng).model;
-        let images_a = uniform_images(&mut model_a, 2, 0.01);
-        let images_b = uniform_images(&mut model_b, 2, 0.02);
-        let all: Vec<(usize, QuantizedModel)> = vec![
-            (0, images_a[0].clone()),
-            (1, images_b[0].clone()),
-            (0, images_a[1].clone()),
-            (1, images_b[1].clone()),
-        ];
-        let templates = [&model_a, &model_b];
-
-        let mut seen = Vec::new();
-        let shared = Campaign::multi(&templates, &test)
-            .replicas(ReplicaStrategy::SharedImage)
-            .on_cell(|i, r| seen.push((i, r.error)))
-            .run_cells(all.len(), |i| all[i].clone());
-        let per_pattern = Campaign::multi(&templates, &test)
-            .replicas(ReplicaStrategy::PerPattern)
-            .run_cells(all.len(), |i| all[i].clone());
-        assert_eq!(shared, per_pattern);
-        let expected: Vec<(usize, f32)> =
-            shared.iter().enumerate().map(|(i, r)| (i, r.error)).collect();
-        assert_eq!(seen, expected, "every cell must stream exactly once, in order");
-    }
-
-    #[test]
     fn lazy_image_construction_matches_eager() {
         let (mut model, test) = tiny_setup();
         let images = uniform_images(&mut model, 5, 0.02);
@@ -1163,8 +793,8 @@ mod tests {
     #[test]
     fn chunked_campaign_matches_unchunked() {
         let (mut model, test) = tiny_setup();
-        // More images than MAX_REPLICAS would be slow here; instead check
-        // that splitting a campaign in two yields the same cells.
+        // Cells are independent of the cohort they are evaluated with, so
+        // splitting a campaign in two yields the same cells.
         let images = uniform_images(&mut model, 6, 0.02);
         let whole = Campaign::new(&model, &test).run(&images);
         let mut split = Campaign::new(&model, &test).run(&images[..2]);

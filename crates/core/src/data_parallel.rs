@@ -53,7 +53,7 @@
 use bitrobust_nn::{tree_reduce_grads, CrossEntropyLoss, Mode, Model};
 use bitrobust_tensor::Tensor;
 
-use crate::scheduler::{self, ItemSizing, ShardReplicas};
+use crate::scheduler::{self, ShardReplicas};
 
 /// Shard count fixed by the experiment protocol (zoo training, paper
 /// reproduction binaries): enough to keep typical core counts busy, small
@@ -191,7 +191,7 @@ pub(crate) fn sharded_forward_backward(
     let parts: Vec<(f64, Vec<Tensor>)> = if dp.serial {
         scheduler::execute_serial(n_shards, 1, |s, _| run_shard(s))
     } else {
-        scheduler::execute(n_shards, 1, ItemSizing::PerBatch, |s, _| run_shard(s))
+        scheduler::execute(n_shards, 1, |s, _| run_shard(s))
     };
 
     let mut loss_sum = 0f64;

@@ -228,7 +228,7 @@ impl RobustEval {
 /// ([`crate::Campaign`]): all (pattern, batch) work items fan out over
 /// the workspace thread pool, and the per-chip `errors` are bit-identical
 /// to the historical serial loop. The model is only read — patterns are
-/// written into per-pattern replicas, never the model.
+/// written into scratch replicas, never the model.
 ///
 /// The injectors are the "chips": for the paper's headline numbers these
 /// are [`UniformChip`]s at a common rate `p` (see [`robust_eval_uniform`]);

@@ -86,15 +86,7 @@ mod train;
 
 pub use arch::{build, ArchKind, BuiltModel, NormKind};
 pub use bound::{deviation_bound, deviation_probability};
-#[allow(deprecated)] // the deprecated entry points stay re-exported for migration
-pub use campaign::{
-    eval_cells_streaming_with, eval_images, eval_images_serial, eval_images_sized,
-    eval_images_streaming, eval_images_streaming_with, eval_images_with,
-};
-pub use campaign::{
-    run_axis, run_axis_streaming, run_grid, run_grid_streaming, AxisCell, Campaign, CampaignGrid,
-    ChipAxis, GridCell, ReplicaStrategy,
-};
+pub use campaign::{run_axis, run_axis_streaming, AxisCell, Campaign, ChipAxis};
 pub use data_parallel::{DataParallel, TRAIN_SHARDS};
 pub use ecc::{apply_secded, multi_error_probability, DoubleErrorPolicy, EccStats, SecdedConfig};
 pub use energy::{best_saving_within, energy_tradeoff, TradeoffPoint};
@@ -106,7 +98,7 @@ pub use eval::{
 pub use probe::{has_attached_probes, probe_handles, ActivationProbe, ProbeHandle, ProbeStats};
 pub use qmodel::QuantizedModel;
 pub use redundancy::{redundancy_metrics, RedundancyMetrics};
-pub use scheduler::{ItemSizing, ReplicaPool, ScratchReplicas, ShardReplicas, MAX_REPLICAS};
+pub use scheduler::{ScratchReplicas, ShardReplicas};
 pub use store::{CellRecord, StoreError, SweepStore};
 pub use sweep::{run_sweep, SweepAxis, SweepCell, SweepModel, SweepOptions, SweepResults};
 pub use train::{

@@ -1,13 +1,9 @@
 //! Whole-model quantization with a linear weight-to-memory mapping.
 
-use std::cell::Cell;
-
 use bitrobust_biterror::ErrorInjector;
-use bitrobust_nn::{lower_layers, Layer, Model, QConv2d, QLinear, QNet};
+use bitrobust_nn::Model;
 use bitrobust_quant::{Granularity, QuantRange, QuantScheme, QuantizedTensor};
 use bitrobust_tensor::Tensor;
-
-use crate::probe::ActivationProbe;
 
 /// The quantized image of a model's parameters: one [`QuantizedTensor`] per
 /// parameter tensor plus each tensor's word offset in the network's global,
@@ -43,10 +39,7 @@ use crate::probe::ActivationProbe;
 /// q.write_to(&mut replica);
 /// let x = Tensor::zeros(&[1, 8]);
 /// let y = replica.infer(&x, Mode::Eval);
-///
-/// // Or skip the f32 replica entirely and stay in the integer domain:
-/// let y_int = q.infer(&model, &x).unwrap();
-/// assert_eq!(y.shape(), y_int.shape());
+/// assert_eq!(y.shape(), &[1, 4]);
 /// ```
 #[derive(Debug, Clone)]
 pub struct QuantizedModel {
@@ -165,96 +158,6 @@ impl QuantizedModel {
         assert_eq!(index, self.tensors.len(), "model has fewer parameters than snapshot");
     }
 
-    /// Compiles this image into an integer-domain inference program for
-    /// `template`'s architecture: weights are decoded to `i8` levels once
-    /// ([`bitrobust_quant::QuantizedTensor::decode_i8`]) and every matrix
-    /// product runs through the packed `i8×i8→i32` GEMM, requantizing at
-    /// layer boundaries (see [`bitrobust_nn::quantized`]). Biases are
-    /// dequantized to `f32` bit-exactly and folded into requantization.
-    ///
-    /// `template` supplies structure only — its float weights are ignored;
-    /// the program's parameters come from this snapshot (including any
-    /// injected bit errors). [`ActivationProbe`]s are skipped: they are
-    /// identity layers at inference time.
-    ///
-    /// # Errors
-    ///
-    /// Returns `Err` if the architecture contains a layer without an
-    /// integer-domain kernel (normalization, residual blocks), or if
-    /// `template`'s parameter shapes differ from the snapshot.
-    pub fn compile(&self, template: &Model) -> Result<QNet, String> {
-        let next = Cell::new(0usize);
-        let take = |shape: &[usize], what: &str| -> Result<usize, String> {
-            let i = next.get();
-            if i >= self.tensors.len() {
-                return Err(format!("model has more parameters than the snapshot ({what})"));
-            }
-            if self.shapes[i] != shape {
-                return Err(format!(
-                    "{what} shape mismatch at parameter {i}: snapshot {:?} vs model {:?}",
-                    self.shapes[i], shape
-                ));
-            }
-            next.set(i + 1);
-            Ok(i)
-        };
-        let mut ops = Vec::new();
-        lower_layers(
-            template.root(),
-            &|l: &dyn Layer| l.as_any().is_some_and(|a| a.is::<ActivationProbe>()),
-            &mut |fc| {
-                let (out_f, in_f) = (fc.out_features(), fc.in_features());
-                let w = take(&[out_f, in_f], "Linear weight")?;
-                let b = take(&[out_f], "Linear bias")?;
-                let d = self.tensors[w].decode_i8();
-                Ok(QLinear::new(d.q, d.scale, d.offset, self.tensors[b].dequantize(), in_f, out_f))
-            },
-            &mut |conv| {
-                let (oc, ic, k) = (conv.out_channels(), conv.in_channels(), conv.kernel());
-                let w = take(&[oc, ic, k, k], "Conv2d weight")?;
-                let b = take(&[oc], "Conv2d bias")?;
-                let d = self.tensors[w].decode_i8();
-                Ok(QConv2d::new(
-                    d.q,
-                    d.scale,
-                    d.offset,
-                    self.tensors[b].dequantize(),
-                    ic,
-                    oc,
-                    k,
-                    conv.stride(),
-                    conv.padding(),
-                ))
-            },
-            &mut ops,
-        )?;
-        if next.get() != self.tensors.len() {
-            return Err(format!(
-                "snapshot has {} parameter tensors but the model consumed {}",
-                self.tensors.len(),
-                next.get()
-            ));
-        }
-        Ok(QNet::new(ops))
-    }
-
-    /// Runs the end-to-end integer-domain forward pass: compile this image
-    /// against `template`'s architecture, then infer without ever
-    /// materializing dequantized `f32` weights. Matches the
-    /// dequantize-then-float path within quantization tolerance (pinned by
-    /// the `qinfer` proptest suite) and is byte-deterministic across thread
-    /// counts (the program is single-threaded by construction).
-    ///
-    /// Compiling is `O(weights)`; callers running many inputs against one
-    /// image should [`QuantizedModel::compile`] once and reuse the program.
-    ///
-    /// # Errors
-    ///
-    /// As [`QuantizedModel::compile`].
-    pub fn infer(&self, template: &Model, x: &Tensor) -> Result<Tensor, String> {
-        Ok(self.compile(template)?.infer(x))
-    }
-
     /// Dequantizes all tensors into fresh buffers (for analysis).
     pub fn dequantize_tensors(&self) -> Vec<Tensor> {
         self.tensors
@@ -367,100 +270,6 @@ mod tests {
         assert_eq!(clean_out.shape(), dirty_out.shape());
         assert!(dirty_out.data().iter().all(|v| v.is_finite()));
         assert_ne!(clean_out, dirty_out);
-    }
-
-    #[test]
-    fn compile_matches_dequantized_float_forward_within_tolerance() {
-        let model = toy_model(7);
-        let q = QuantizedModel::quantize(&model, QuantScheme::rquant(8));
-        let x = bitrobust_tensor::Tensor::rand_uniform(
-            &[5, 6],
-            -1.0,
-            1.0,
-            &mut rand::rngs::StdRng::seed_from_u64(1),
-        );
-
-        // The float reference is the dequantized replica, not the original
-        // model: both paths then share identical weight values and only the
-        // integer path's activation quantization separates them.
-        let mut replica = model.clone();
-        q.write_to(&mut replica);
-        let y_ref = replica.infer(&x, Mode::Eval);
-        let y_int = q.infer(&model, &x).expect("toy model lowers");
-
-        assert_eq!(y_ref.shape(), y_int.shape());
-        let amax = y_ref.data().iter().fold(0.0f32, |m, &v| m.max(v.abs()));
-        for (a, b) in y_int.data().iter().zip(y_ref.data()) {
-            assert!((a - b).abs() <= 0.05 * amax.max(1.0), "{a} vs {b}");
-        }
-    }
-
-    #[test]
-    fn compile_skips_probes_and_reuses_program() {
-        use crate::arch::{build, ArchKind, NormKind};
-
-        // The MLP builder inserts an ActivationProbe (identity at inference)
-        // plus a Flatten; both must lower cleanly.
-        let mut rng = rand::rngs::StdRng::seed_from_u64(0);
-        let model = build(ArchKind::Mlp, [1, 8, 8], 4, NormKind::Group, &mut rng).model;
-        let q = QuantizedModel::quantize(&model, QuantScheme::rquant(8));
-        let net = q.compile(&model).expect("mlp must lower");
-        assert!(!net.is_empty());
-
-        let x = bitrobust_tensor::Tensor::rand_uniform(
-            &[3, 1, 8, 8],
-            -1.0,
-            1.0,
-            &mut rand::rngs::StdRng::seed_from_u64(2),
-        );
-        // A compiled program is reusable and deterministic.
-        let a = net.infer(&x);
-        let b = net.infer(&x);
-        assert_eq!(a, b);
-        assert_eq!(a, q.infer(&model, &x).unwrap());
-    }
-
-    #[test]
-    fn compile_rejects_unsupported_layers() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
-        let mut net = Sequential::new();
-        net.push(bitrobust_nn::Conv2d::new(1, 2, 3, 1, 1, &mut rng));
-        net.push(bitrobust_nn::GroupNorm::new(2, 1));
-        let model = Model::new("normed", net);
-        let q = QuantizedModel::quantize(&model, QuantScheme::rquant(8));
-        let err = q.compile(&model).unwrap_err();
-        assert!(err.contains("no integer-domain kernel"), "{err}");
-    }
-
-    #[test]
-    fn compile_rejects_structure_mismatch() {
-        let model = toy_model(8);
-        let q = QuantizedModel::quantize(&model, QuantScheme::rquant(8));
-        let mut rng = rand::rngs::StdRng::seed_from_u64(4);
-        let mut other_net = Sequential::new();
-        other_net.push(Linear::new(5, 12, &mut rng));
-        let other = Model::new("other", other_net);
-        let err = q.compile(&other).unwrap_err();
-        assert!(err.contains("shape mismatch") || err.contains("parameter"), "{err}");
-    }
-
-    #[test]
-    fn injected_errors_change_native_inference() {
-        let model = toy_model(9);
-        let clean = QuantizedModel::quantize(&model, QuantScheme::rquant(8));
-        let mut dirty = clean.clone();
-        dirty.inject(&UniformChip::new(2).at_rate(0.05));
-        let x = bitrobust_tensor::Tensor::rand_uniform(
-            &[4, 6],
-            -1.0,
-            1.0,
-            &mut rand::rngs::StdRng::seed_from_u64(5),
-        );
-        let y_clean = clean.infer(&model, &x).unwrap();
-        let y_dirty = dirty.infer(&model, &x).unwrap();
-        assert_eq!(y_clean.shape(), y_dirty.shape());
-        assert!(y_dirty.data().iter().all(|v| v.is_finite()));
-        assert_ne!(y_clean, y_dirty);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! re-implementing it:
 //!
 //! * the fault-injection **campaign engine** ([`crate::campaign`]) fans
-//!   `(pattern, batch)` work items through [`execute`];
+//!   `(pattern, batch)` work items through [`execute_tracked`];
 //! * the durable **sweep orchestrator** ([`crate::sweep`]) flattens whole
 //!   multi-model plans into the same fan-out;
 //! * **data-parallel training** ([`crate::data_parallel`]) runs its
@@ -24,25 +24,31 @@
 //! dedicated slot (no shared accumulators), and returns the full grid in
 //! `(track, slot)` order so callers can reduce serially.
 //!
+//! A work item is a run of consecutive slots of one track. While work is
+//! scarce every slot is its own item; when the unit count far exceeds the
+//! pool parallelism (50 chips × 8 rates × many batches), runs are merged so
+//! each hardware thread gets a few items, trading a little balance for much
+//! less scheduling overhead. A single-slot track (a training shard, a
+//! served micro-batch) is always exactly one item.
+//!
 //! # Determinism contract
 //!
-//! Scheduling never changes bytes. [`ItemSizing`] only decides *which
-//! worker computes which slots*; the per-slot values and the caller's
-//! serial reduction over them are identical regardless of thread count,
-//! sizing, or claim order — [`execute_serial`] is the in-order reference
-//! that pins this, and the core determinism suite runs both paths at
+//! Scheduling never changes bytes. Item sizing only decides *which worker
+//! computes which slots*; the per-slot values and the caller's serial
+//! reduction over them are identical regardless of thread count, sizing,
+//! or claim order — [`execute_serial`] is the in-order reference that pins
+//! this, and the core determinism suite runs both paths at
 //! `BITROBUST_THREADS=1/2/max`.
 //!
 //! # Persistent replicas
 //!
-//! Fan-outs that need per-track model state used to clone the template
-//! model every pass. Two small pools make those clones persistent:
+//! Fan-outs that need per-track model state keep it in one of two small
+//! pools instead of cloning the template model every pass:
 //!
-//! * [`ReplicaPool`] — read-shared replicas for evaluation campaigns: a
-//!   slot is recloned only when its source template changes; otherwise the
-//!   next wave's fault pattern is written over the previous one (every
-//!   parameter tensor is overwritten, so reuse is byte-identical to a
-//!   fresh clone).
+//! * [`ScratchReplicas`] — read-only evaluation replicas for campaigns: a
+//!   work item checks out a replica of its template, writes its pattern's
+//!   weights over the parameters, and parks it again, so live replicas are
+//!   bounded by the concurrently claimed items, not the pattern count.
 //! * [`ShardReplicas`] — exclusive per-shard replicas for training: the
 //!   structural clone happens once, and each pass re-syncs parameters
 //!   bit-exactly instead of rebuilding the whole layer tree.
@@ -53,81 +59,52 @@ use bitrobust_nn::Model;
 // analyze:allow(det-thread-count, imported for work distribution only; every sizing below is byte-safe)
 use bitrobust_tensor::{parallel_for, pool_parallelism};
 
-/// Upper bound on model replicas alive in one fan-out wave. Campaigns with
-/// more patterns run in chunks of this size, so peak memory is
-/// `MAX_REPLICAS x model size` regardless of grid size.
-pub const MAX_REPLICAS: usize = 64;
+/// Upper bound on cells per streaming or lazy campaign wave, so a wave's
+/// quantized images stay bounded however few batches each cell has.
+const MAX_WAVE: usize = 64;
 
-/// Work-item granularity of a scheduler fan-out.
-///
-/// Both sizings produce **byte-identical results**: sizing only decides
-/// which worker computes which per-`(track, slot)` partials; the partials
-/// themselves and the serial reduction over them are identical regardless.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ItemSizing {
-    /// One `(track, slot)` pair per work item — maximum load balance, and
-    /// the historical granularity the campaign engine shipped with.
-    PerBatch,
-    /// Merge runs of contiguous slots of one track into a single work item
-    /// when the per-slot item count far exceeds the pool parallelism
-    /// ([`bitrobust_tensor::pool_parallelism`]), trading a little balance
-    /// for much less scheduling overhead on track-heavy fan-outs (e.g. 50
-    /// chips × 8 rates). Falls back to per-slot items when work is scarce.
-    Adaptive,
-}
-
-/// Adaptive sizing aims for this many work items per hardware thread, so
-/// the pool's self-scheduling can still balance uneven slot costs.
+/// Work items aim for this many per hardware thread, so the pool's
+/// self-scheduling can still balance uneven slot costs.
 const ADAPTIVE_OVERSUBSCRIPTION: usize = 4;
 
-/// Number of consecutive slots of one track each work item covers.
-pub(crate) fn slots_per_item(sizing: ItemSizing, n_tracks: usize, n_slots: usize) -> usize {
-    match sizing {
-        ItemSizing::PerBatch => 1,
-        ItemSizing::Adaptive => {
-            let total = n_tracks * n_slots;
-            // analyze:allow(det-thread-count, sizes work items only; partials and their serial reduction are thread-count independent)
-            let target = (pool_parallelism() * ADAPTIVE_OVERSUBSCRIPTION).max(1);
-            (total / target).clamp(1, n_slots.max(1))
-        }
-    }
+/// Number of consecutive slots of one track each work item covers (see
+/// the module docs). Always within `1..=n_slots`, so a single-slot track is
+/// one item.
+fn slots_per_item(n_tracks: usize, n_slots: usize) -> usize {
+    let total = n_tracks * n_slots;
+    // analyze:allow(det-thread-count, sizes work items only; partials and their serial reduction are thread-count independent)
+    let target = (pool_parallelism() * ADAPTIVE_OVERSUBSCRIPTION).max(1);
+    (total / target).clamp(1, n_slots.max(1))
 }
 
 /// Slots (cells, patterns) per streaming wave: small enough for frequent
 /// progress delivery, large enough (≥ two work items per hardware thread)
-/// to keep every core busy. `n_slots` is the number of slots each track
-/// contributes (e.g. test batches per pattern).
+/// to keep every core busy, and at most 64. `n_slots` is the number of
+/// slots each track contributes (e.g. test batches per pattern).
 pub fn wave_size(n_slots: usize) -> usize {
     // analyze:allow(det-thread-count, wave size batches delivery; per-slot results are computed and reduced identically at any size)
-    (2 * pool_parallelism()).div_ceil(n_slots.max(1)).clamp(1, MAX_REPLICAS)
+    (2 * pool_parallelism()).div_ceil(n_slots.max(1)).clamp(1, MAX_WAVE)
 }
 
 /// Fans an `n_tracks × n_slots` grid of independent work units over the
 /// thread pool and returns every unit's result in `(track, slot)`
 /// row-major order.
 ///
-/// Work items are runs of consecutive slots of one track (per `sizing`);
-/// every unit's result is written to its own dedicated slot, so results
-/// are independent of thread count, scheduling, *and* work-item sizing —
-/// bit-identical to [`execute_serial`].
+/// Work items are runs of consecutive slots of one track (see the module
+/// docs); every unit's result is written to its own dedicated slot, so
+/// results are independent of thread count, scheduling, *and* work-item
+/// sizing — bit-identical to [`execute_serial`].
 ///
 /// # Panics
 ///
 /// Panics if a slot is computed twice or never (both indicate a scheduler
 /// bug, not a caller error).
-pub fn execute<T, F>(n_tracks: usize, n_slots: usize, sizing: ItemSizing, work: F) -> Vec<T>
+pub fn execute<T, F>(n_tracks: usize, n_slots: usize, work: F) -> Vec<T>
 where
     T: Send + Sync,
     F: Fn(usize, usize) -> T + Sync,
 {
-    execute_tracked(
-        n_tracks,
-        n_slots,
-        sizing,
-        |_| (),
-        |_, track, slot| work(track, slot),
-        |_, _| (),
-    )
+    execute_tracked(n_tracks, n_slots, |_| (), |_, track, slot| work(track, slot), |_, _| ())
 }
 
 /// [`execute`] with a per-work-item context: `init(track)` runs once as a
@@ -151,7 +128,6 @@ where
 pub fn execute_tracked<C, T, I, F, D>(
     n_tracks: usize,
     n_slots: usize,
-    sizing: ItemSizing,
     init: I,
     work: F,
     done: D,
@@ -165,7 +141,7 @@ where
     if n_tracks == 0 || n_slots == 0 {
         return Vec::new();
     }
-    let group = slots_per_item(sizing, n_tracks, n_slots);
+    let group = slots_per_item(n_tracks, n_slots);
     let groups_per_track = n_slots.div_ceil(group);
     // Observability only: timings and counts are recorded, never read
     // back — results stay a function of inputs and seeds alone.
@@ -210,104 +186,23 @@ pub fn execute_serial<T>(
     out
 }
 
-/// Persistent, read-shared model replicas for evaluation fan-outs.
+/// A checkout pool of scratch model replicas for evaluation campaigns.
 ///
-/// A campaign wave needs one immutable [`Model`] per error pattern:
-/// historically each wave cloned the template model per pattern, paying a
-/// full layer-tree rebuild every wave. The pool keeps slot replicas alive
-/// across waves ("passes") and re-clones a slot **only when its source
-/// template changes** (multi-model sweeps interleave templates); otherwise
-/// the next pattern's weights are simply written over the previous ones.
-///
-/// Reuse is byte-identical to fresh clones because the per-wave `setup`
-/// callback (e.g. [`crate::QuantizedModel::write_to`]) overwrites every
-/// parameter tensor, and evaluation via [`Model::infer`] reads nothing
-/// else a previous wave could have touched (caches and probes stay
-/// detached, gradients are never read). Scheduling never changes bytes.
-#[derive(Debug, Default)]
-pub struct ReplicaPool {
-    /// `(source id, replica)` per slot; the id records which template the
-    /// replica was cloned from, so template changes force a re-clone.
-    slots: Vec<(usize, Model)>,
-}
-
-impl ReplicaPool {
-    /// An empty pool; replicas are cloned on first [`ReplicaPool::prepare`].
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of live replica slots.
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Whether the pool holds no replicas yet.
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
-    }
-
-    /// Readies slots `0..n` for the next wave: `source(i)` names slot
-    /// `i`'s template (a stable id plus the model), and `setup(i, replica)`
-    /// writes the slot's per-wave state (typically a fault pattern's
-    /// weights). Slots whose source id is unchanged reuse their existing
-    /// replica; the rest are cloned fresh from their template.
-    pub fn prepare<'t>(
-        &mut self,
-        n: usize,
-        source: impl Fn(usize) -> (usize, &'t Model),
-        mut setup: impl FnMut(usize, &mut Model),
-    ) {
-        for i in 0..n {
-            let (id, template) = source(i);
-            match self.slots.get_mut(i) {
-                Some((current, replica)) if *current == id => {
-                    bitrobust_obs::counter_add("scheduler.replica.reuse", 1);
-                    setup(i, replica)
-                }
-                Some(slot) => {
-                    bitrobust_obs::counter_add("scheduler.replica.clone", 1);
-                    *slot = (id, template.clone());
-                    setup(i, &mut slot.1);
-                }
-                None => {
-                    bitrobust_obs::counter_add("scheduler.replica.clone", 1);
-                    // Full assert: a gap in the slot grid would hand later
-                    // waves the wrong replica, silently in release builds.
-                    assert_eq!(i, self.slots.len(), "slot grid must grow densely");
-                    self.slots.push((id, template.clone()));
-                    setup(i, &mut self.slots[i].1);
-                }
-            }
-        }
-    }
-
-    /// Shared read access to slot `i`'s replica (prepared this wave).
-    ///
-    /// # Panics
-    ///
-    /// Panics if slot `i` was not prepared.
-    pub fn replica(&self, i: usize) -> &Model {
-        &self.slots[i].1
-    }
-}
-
-/// A checkout pool of scratch model replicas for shared-image campaigns.
-///
-/// Where [`ReplicaPool`] keeps one replica per wave pattern alive, this
-/// pool keeps only as many `f32` replicas as there are concurrently
+/// The pool keeps only as many `f32` replicas as there are concurrently
 /// claimed work items (≈ the pool parallelism): a worker checks a replica
 /// out at item start, writes its pattern's integer image over the
 /// parameters, evaluates, and gives the replica back. Patterns themselves
-/// then only ever exist as quantized images (~4× smaller than an `f32`
-/// replica), so campaign memory no longer scales with the pattern count.
+/// only ever exist as quantized images (~4× smaller than an `f32`
+/// replica), so campaign memory does not scale with the pattern count.
 ///
 /// Slots are tagged with a `source` (template identity — mixing replicas
 /// of different architectures is never allowed) and a `tag` (the pattern
 /// last written), so a checkout that lands on a same-pattern slot can skip
-/// the rewrite. Reuse is byte-identical to a fresh clone for the same
-/// reason [`ReplicaPool`]'s is: the image write overwrites every parameter
-/// tensor and evaluation reads nothing else.
+/// the rewrite. Reuse is byte-identical to a fresh clone: the image write
+/// ([`crate::QuantizedModel::write_to`]) overwrites every parameter tensor,
+/// and evaluation via [`Model::infer`] reads nothing else a previous item
+/// could have touched (caches and probes stay detached, gradients are never
+/// read).
 #[derive(Debug, Default)]
 pub struct ScratchReplicas {
     /// `(source id, pattern tag, replica)` for every parked replica.
@@ -419,12 +314,10 @@ mod tests {
     #[test]
     fn execute_covers_every_unit_in_order() {
         for (tracks, slots) in [(1, 1), (3, 5), (7, 2), (1, 17)] {
-            for sizing in [ItemSizing::PerBatch, ItemSizing::Adaptive] {
-                let parallel = execute(tracks, slots, sizing, |t, s| (t, s));
-                let serial = execute_serial(tracks, slots, |t, s| (t, s));
-                assert_eq!(parallel, serial, "tracks {tracks} slots {slots} {sizing:?}");
-                assert_eq!(parallel.len(), tracks * slots);
-            }
+            let parallel = execute(tracks, slots, |t, s| (t, s));
+            let serial = execute_serial(tracks, slots, |t, s| (t, s));
+            assert_eq!(parallel, serial, "tracks {tracks} slots {slots}");
+            assert_eq!(parallel.len(), tracks * slots);
         }
     }
 
@@ -432,32 +325,35 @@ mod tests {
     fn execute_tracked_contexts_cover_items_exactly_once() {
         use std::sync::atomic::{AtomicUsize, Ordering};
 
-        for (tracks, slots) in [(1, 1), (3, 5), (7, 2)] {
-            for sizing in [ItemSizing::PerBatch, ItemSizing::Adaptive] {
-                let inits = AtomicUsize::new(0);
-                let dones = AtomicUsize::new(0);
-                let out = execute_tracked(
-                    tracks,
-                    slots,
-                    sizing,
-                    |track| {
-                        inits.fetch_add(1, Ordering::Relaxed);
-                        track * 100
-                    },
-                    |ctx, t, s| {
-                        assert_eq!(*ctx, t * 100, "context must belong to the item's track");
-                        (t, s)
-                    },
-                    |track, ctx| {
-                        assert_eq!(ctx, track * 100);
-                        dones.fetch_add(1, Ordering::Relaxed);
-                    },
-                );
-                assert_eq!(out, execute_serial(tracks, slots, |t, s| (t, s)));
-                // Every init is paired with a done; the item count depends
-                // on sizing but contexts never leak.
-                assert_eq!(inits.load(Ordering::Relaxed), dones.load(Ordering::Relaxed));
-                assert!(inits.load(Ordering::Relaxed) >= tracks);
+        for (tracks, slots) in [(1, 1), (3, 5), (7, 2), (3, 1), (8, 1)] {
+            let inits = AtomicUsize::new(0);
+            let dones = AtomicUsize::new(0);
+            let out = execute_tracked(
+                tracks,
+                slots,
+                |track| {
+                    inits.fetch_add(1, Ordering::Relaxed);
+                    track * 100
+                },
+                |ctx, t, s| {
+                    assert_eq!(*ctx, t * 100, "context must belong to the item's track");
+                    (t, s)
+                },
+                |track, ctx| {
+                    assert_eq!(ctx, track * 100);
+                    dones.fetch_add(1, Ordering::Relaxed);
+                },
+            );
+            assert_eq!(out, execute_serial(tracks, slots, |t, s| (t, s)));
+            // Every init is paired with a done; the item count depends on
+            // sizing but contexts never leak.
+            let (inits, dones) = (inits.into_inner(), dones.into_inner());
+            assert_eq!(inits, dones);
+            assert!(inits >= tracks);
+            if slots == 1 {
+                // One item per single-slot track: a data-parallel shard or
+                // a served micro-batch is never merged with another.
+                assert_eq!(inits, tracks, "tracks {tracks}: single-slot tracks are one item each");
             }
         }
     }
@@ -485,16 +381,15 @@ mod tests {
 
     #[test]
     fn execute_empty_grid_is_empty() {
-        assert!(execute(0, 5, ItemSizing::Adaptive, |_, _| 0u8).is_empty());
-        assert!(execute(5, 0, ItemSizing::Adaptive, |_, _| 0u8).is_empty());
+        assert!(execute(0, 5, |_, _| 0u8).is_empty());
+        assert!(execute(5, 0, |_, _| 0u8).is_empty());
     }
 
     #[test]
     fn slots_per_item_bounds() {
-        // PerBatch is always 1; adaptive stays within [1, n_slots].
-        assert_eq!(slots_per_item(ItemSizing::PerBatch, 50, 100), 1);
-        for (tracks, slots) in [(1, 1), (50, 8), (2, 1000)] {
-            let g = slots_per_item(ItemSizing::Adaptive, tracks, slots);
+        // Always within [1, n_slots].
+        for (tracks, slots) in [(1, 1), (50, 8), (2, 1000), (64, 1)] {
+            let g = slots_per_item(tracks, slots);
             assert!((1..=slots).contains(&g), "tracks {tracks} slots {slots}: {g}");
         }
     }
@@ -503,34 +398,13 @@ mod tests {
     fn wave_size_is_positive_and_capped() {
         for slots in [0usize, 1, 8, 10_000] {
             let w = wave_size(slots);
-            assert!((1..=MAX_REPLICAS).contains(&w), "slots {slots}: {w}");
+            assert!((1..=MAX_WAVE).contains(&w), "slots {slots}: {w}");
         }
     }
 
     fn tiny_model() -> Model {
         let mut rng = rand::rngs::StdRng::seed_from_u64(0);
         build(ArchKind::Mlp, [1, 8, 8], 4, NormKind::Group, &mut rng).model
-    }
-
-    #[test]
-    fn replica_pool_reuses_same_source_and_reclones_on_change() {
-        let a = tiny_model();
-        let b = tiny_model();
-        let mut pool = ReplicaPool::new();
-
-        pool.prepare(2, |_| (0, &a), |_, _| {});
-        assert_eq!(pool.len(), 2);
-        let first = pool.replica(0).param_tensors();
-        assert_eq!(first, a.param_tensors());
-
-        // Same source: replicas persist (setup sees the previous state).
-        let mut saw_existing = false;
-        pool.prepare(1, |_| (0, &a), |_, m| saw_existing = m.param_tensors() == first);
-        assert!(saw_existing, "same-source slot must reuse its replica");
-
-        // Different source id: the slot must be re-cloned from b.
-        pool.prepare(1, |_| (1, &b), |_, _| {});
-        assert_eq!(pool.replica(0).param_tensors(), b.param_tensors());
     }
 
     #[test]

@@ -94,7 +94,8 @@ pub struct SweepModel<'a> {
     pub key: String,
     /// Evaluation quantization scheme.
     pub scheme: QuantScheme,
-    /// The model (read-only; evaluation uses per-pattern replicas).
+    /// The model (read-only; evaluation writes patterns into scratch
+    /// replicas).
     pub model: &'a Model,
 }
 
@@ -480,6 +481,10 @@ mod tests {
         let mut opts2 = opts;
         opts2.batch_size = 64;
         assert_ne!(base, cell_id("m", "q8laun", "axis", 0, &data, &opts2));
+        // Tab. 10 evaluates one model under both modes; a shared store must
+        // never alias them.
+        let batch_stats = SweepOptions { mode: Mode::EvalBatchStats, ..opts };
+        assert_ne!(base, cell_id("m", "q8laun", "axis", 0, &data, &batch_stats));
     }
 
     /// Two generations of a same-named dataset (different data seeds) have

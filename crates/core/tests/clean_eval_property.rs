@@ -5,8 +5,8 @@
 //! the quantized image reproduces the model's weights exactly (a true
 //! no-op pattern). Then, for arbitrary batch sizes — including sizes that
 //! don't divide the dataset and sizes larger than it — `evaluate` must
-//! equal `eval_images(model, [no-op pattern])` and the serial reference,
-//! byte-for-byte.
+//! equal `Campaign::new(model, dataset).run(&[no-op pattern])` and the
+//! serial reference, byte-for-byte.
 
 use std::sync::OnceLock;
 

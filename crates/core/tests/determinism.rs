@@ -1,9 +1,8 @@
 //! Determinism suite for the batch-parallel evaluation surface.
 //!
 //! The invariant being pinned: **parallel == serial == seed**. Every
-//! parallel path — clean `evaluate`, the campaign engine under both
-//! work-item sizings, the streaming campaign, and the in-training RErr
-//! probes — must produce byte-identical results to its serial reference,
+//! parallel path — clean `evaluate`, the campaign engine, the streaming
+//! campaign, and the in-training RErr probes — must produce byte-identical results to its serial reference,
 //! and those results must be byte-identical across thread counts.
 //!
 //! The in-process tests check parallel-vs-serial at whatever thread count
@@ -31,10 +30,9 @@ mod common;
 use common::weights_fingerprint;
 
 use bitrobust_core::{
-    build, evaluate, evaluate_serial, run_axis, run_axis_streaming, run_grid, run_grid_streaming,
-    train, ArchKind, Campaign, CampaignGrid, ChipAxis, DataParallel, EvalResult, ItemSizing,
-    NormKind, PattPattern, QuantizedModel, RErrProbe, RandBetVariant, ReplicaStrategy, SweepStore,
-    TrainConfig, TrainMethod, TrainReport, EVAL_BATCH,
+    build, evaluate, evaluate_serial, run_axis, run_axis_streaming, train, ArchKind, Campaign,
+    ChipAxis, DataParallel, EvalResult, NormKind, PattPattern, QuantizedModel, RErrProbe,
+    RandBetVariant, SweepStore, TrainConfig, TrainMethod, TrainReport, EVAL_BATCH,
 };
 use bitrobust_data::{AugmentConfig, Dataset, SynthDataset};
 use bitrobust_nn::{Mode, Model};
@@ -184,53 +182,16 @@ fn streaming_campaign_matches_batch() {
 #[test]
 fn streaming_grid_matches_batch_grid() {
     let (model, test) = tiny_setup();
-    let grid = CampaignGrid {
-        schemes: vec![QuantScheme::rquant(8), QuantScheme::rquant(4)],
-        rates: vec![0.001, 0.01],
-        n_chips: 3,
-        chip_seed_base: 1000,
-    };
-    let batch = run_grid(&model, &grid, &test, EVAL_BATCH, Mode::Eval);
+    let schemes = [QuantScheme::rquant(8), QuantScheme::rquant(4)];
+    let axis = ChipAxis::uniform(vec![0.001, 0.01], 3, 1000);
+    let batch = run_axis(&model, &schemes, &axis, &test, EVAL_BATCH, Mode::Eval);
     let mut cells = 0usize;
     let streamed =
-        run_grid_streaming(&model, &grid, &test, EVAL_BATCH, Mode::Eval, |_, _| cells += 1);
+        run_axis_streaming(&model, &schemes, &axis, &test, EVAL_BATCH, Mode::Eval, |_, _| {
+            cells += 1
+        });
     assert_eq!(batch, streamed);
-    assert_eq!(cells, grid.n_cells());
-}
-
-// ---------------------------------------------------------------------------
-// (c) adaptive vs fixed work-item sizing
-// ---------------------------------------------------------------------------
-
-#[test]
-fn adaptive_and_per_batch_sizing_match_serial() {
-    let (model, test) = tiny_setup();
-    let images = chip_images(&model, 6, 0.02);
-    let serial = Campaign::new(&model, &test).serial().run(&images);
-    for sizing in [ItemSizing::PerBatch, ItemSizing::Adaptive] {
-        let sized = Campaign::new(&model, &test).sizing(sizing).run(&images);
-        assert_eq!(sized, serial, "{sizing:?} must be bit-identical to the serial reference");
-    }
-}
-
-// ---------------------------------------------------------------------------
-// (c1) replica strategies: shared-image vs per-pattern vs serial
-// ---------------------------------------------------------------------------
-
-#[test]
-fn replica_strategies_match_serial_under_both_sizings() {
-    let (model, test) = tiny_setup();
-    let images = chip_images(&model, 6, 0.02);
-    let serial = Campaign::new(&model, &test).serial().run(&images);
-    for strategy in [ReplicaStrategy::SharedImage, ReplicaStrategy::PerPattern] {
-        for sizing in [ItemSizing::PerBatch, ItemSizing::Adaptive] {
-            let run = Campaign::new(&model, &test).replicas(strategy).sizing(sizing).run(&images);
-            assert_eq!(
-                run, serial,
-                "{strategy:?}/{sizing:?} must be bit-identical to the serial reference"
-            );
-        }
-    }
+    assert_eq!(cells, schemes.len() * axis.n_points());
 }
 
 // ---------------------------------------------------------------------------
@@ -388,34 +349,14 @@ fn worker_fingerprints() {
     }
     println!("FP clean_evaluate {clean}");
 
-    // (b)+(c) campaign: serial reference vs streaming and both sizings.
+    // (b)+(c) campaign: serial reference vs the eager one-wave run and
+    // streaming delivery.
     let images = chip_images(&model, 6, 0.02);
     let serial = Campaign::new(&model, &test).serial().run(&images);
     let streamed = Campaign::new(&model, &test).on_cell(|_, _| {}).run(&images);
     assert_eq!(serial, streamed);
-    for sizing in [ItemSizing::PerBatch, ItemSizing::Adaptive] {
-        let sized = Campaign::new(&model, &test).sizing(sizing).run(&images);
-        assert_eq!(serial, sized, "{sizing:?}");
-    }
+    assert_eq!(serial, Campaign::new(&model, &test).run(&images), "eager campaign");
     println!("FP campaign {}", fp_results(&serial));
-
-    // (c1) replica strategies + the native integer-domain forward pass:
-    // a shared-image campaign must match the serial bytes at every thread
-    // count, and `QuantizedModel::infer` is single-threaded by
-    // construction, so its logits must fingerprint identically across the
-    // matrix too.
-    let shared = Campaign::new(&model, &test).replicas(ReplicaStrategy::SharedImage).run(&images);
-    assert_eq!(serial, shared, "shared-image campaign must match the serial reference");
-    let (x, _) = test.batch_range(0, 64);
-    let logits = images[0].infer(&model, &x).expect("the MLP must lower to a QNet");
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for v in logits.data() {
-        for b in v.to_bits().to_le_bytes() {
-            hash ^= b as u64;
-            hash = hash.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-    println!("FP native_infer {hash:016x}");
 
     // (d) in-training probes.
     let report = probed_training_report(false);
@@ -485,7 +426,7 @@ fn worker_fingerprints() {
 fn fingerprint_lines(stdout: &str) -> Vec<String> {
     let lines: Vec<String> =
         stdout.lines().filter_map(|l| l.find("FP ").map(|at| l[at..].to_string())).collect();
-    assert_eq!(lines.len(), 6, "worker must print one fingerprint per case:\n{stdout}");
+    assert_eq!(lines.len(), 5, "worker must print one fingerprint per case:\n{stdout}");
     lines
 }
 

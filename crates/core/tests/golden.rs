@@ -19,9 +19,8 @@
 
 use bitrobust_biterror::UniformChip;
 use bitrobust_core::{
-    build, run_grid, train, ArchKind, Campaign, CampaignGrid, DataParallel, NormKind,
-    QuantizedModel, RErrProbe, RandBetVariant, ReplicaStrategy, TrainConfig, TrainMethod,
-    TrainReport, EVAL_BATCH,
+    build, run_axis, train, ArchKind, Campaign, ChipAxis, DataParallel, NormKind, QuantizedModel,
+    RErrProbe, RandBetVariant, TrainConfig, TrainMethod, TrainReport, EVAL_BATCH,
 };
 use bitrobust_data::{AugmentConfig, Dataset, SynthDataset};
 use bitrobust_nn::{Mode, Model};
@@ -114,8 +113,10 @@ fn golden_grid_cell() -> (Model, Vec<f32>, f32, f32) {
     let mut rng = rand::rngs::StdRng::seed_from_u64(0);
     let model = build(ArchKind::Mlp, [1, 14, 14], 10, NormKind::Group, &mut rng).model;
     let (_, test) = SynthDataset::Mnist.generate(0);
-    let grid = CampaignGrid::uniform(QuantScheme::rquant(8), vec![0.01], 3, 1000);
-    let cell = run_grid(&model, &grid, &test, EVAL_BATCH, Mode::Eval).remove(0).remove(0);
+    let axis = ChipAxis::uniform(vec![0.01], 3, 1000);
+    let cell = run_axis(&model, &[QuantScheme::rquant(8)], &axis, &test, EVAL_BATCH, Mode::Eval)
+        .remove(0)
+        .remove(0);
     (model, cell.errors.clone(), cell.mean_error, cell.std_error)
 }
 
@@ -203,16 +204,15 @@ fn golden_campaign_cell_is_pinned() {
     assert_eq!(std.to_bits(), GOLDEN_CELL_STD, "cell std drifted; actual 0x{:08x}", std.to_bits());
 }
 
-/// Both replica strategies must reproduce the pinned cell bit-for-bit:
-/// the shared-image path holds patterns as quantized integer images (no
-/// per-pattern dequantized `f32` replica), yet its RErr bytes must equal
-/// the per-pattern path *and* the committed golden constants.
+/// The eager `Campaign::run` path — one wave of all cells, patterns held as
+/// quantized integer images and written into scratch replicas per work
+/// item — must reproduce the pinned cell bit-for-bit.
 #[test]
-fn golden_cell_is_replica_strategy_invariant() {
+fn golden_cell_is_pinned_through_eager_campaign_run() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(0);
     let model = build(ArchKind::Mlp, [1, 14, 14], 10, NormKind::Group, &mut rng).model;
     let (_, test) = SynthDataset::Mnist.generate(0);
-    // The exact images `run_grid` builds for the pinned cell: rquant(8)
+    // The exact images `run_axis` builds for the pinned cell: rquant(8)
     // at rate 1%, chips seeded `1000 + c`.
     let q0 = QuantizedModel::quantize(&model, QuantScheme::rquant(8));
     let images: Vec<QuantizedModel> = (0..3)
@@ -222,16 +222,14 @@ fn golden_cell_is_replica_strategy_invariant() {
             q
         })
         .collect();
-    for strategy in [ReplicaStrategy::SharedImage, ReplicaStrategy::PerPattern] {
-        let results = Campaign::new(&model, &test).replicas(strategy).run(&images);
-        let errors: Vec<f32> = results.iter().map(|r| r.error).collect();
-        assert_eq!(
-            bits(&errors),
-            GOLDEN_CELL_ERRORS,
-            "{strategy:?} per-chip errors drifted; actual {}",
-            hex(&bits(&errors))
-        );
-    }
+    let results = Campaign::new(&model, &test).run(&images);
+    let errors: Vec<f32> = results.iter().map(|r| r.error).collect();
+    assert_eq!(
+        bits(&errors),
+        GOLDEN_CELL_ERRORS,
+        "eager campaign per-chip errors drifted; actual {}",
+        hex(&bits(&errors))
+    );
 }
 
 /// Full tracing must not move a single golden bit: observability reads

@@ -32,8 +32,8 @@ pub fn finish_obs() {
     }
 }
 pub use protocol::{
-    p_grid_cifar, p_grid_cifar100, p_grid_mnist, progress_dots, protocol_axis, protocol_grid,
-    rerr_sweep, rerr_sweep_streaming, CHIP_SEED,
+    p_grid_cifar, p_grid_cifar100, p_grid_mnist, progress_dots, protocol_axis, rerr_sweep,
+    rerr_sweep_streaming, CHIP_SEED,
 };
 pub use sweeps::{open_sweep_store, sweep_dir, sweep_models, sweep_progress};
 pub use table::{pct, pct_pm, Table};

@@ -2,9 +2,7 @@
 //! grids, so every experiment binary measures RErr on the *same* simulated
 //! chips (as the paper fixes its 50 error patterns across all models).
 
-use bitrobust_core::{
-    run_axis, run_axis_streaming, CampaignGrid, ChipAxis, EvalResult, RobustEval, EVAL_BATCH,
-};
+use bitrobust_core::{run_axis, run_axis_streaming, ChipAxis, EvalResult, RobustEval, EVAL_BATCH};
 use bitrobust_data::Dataset;
 use bitrobust_nn::{Mode, Model};
 use bitrobust_quant::QuantScheme;
@@ -12,17 +10,10 @@ use bitrobust_quant::QuantScheme;
 /// Base seed for the shared evaluation chips.
 pub const CHIP_SEED: u64 = 1000;
 
-/// The shared-protocol campaign grid: one scheme over `ps × chips` uniform
-/// chips seeded from [`CHIP_SEED`] — the single constructor behind every
-/// uniform RErr sweep, so no binary can drift off the shared chips.
-pub fn protocol_grid(scheme: QuantScheme, ps: &[f64], chips: usize) -> CampaignGrid {
-    CampaignGrid::uniform(scheme, ps.to_vec(), chips, CHIP_SEED)
-}
-
-/// The shared-protocol injection axis for sweep orchestration: the same
-/// `ps × chips` span (and chip seeds) as [`protocol_grid`], as a
-/// [`ChipAxis`] for [`bitrobust_core::run_sweep`] plans. Cells evaluated
-/// through either are byte-identical.
+/// The shared-protocol injection axis: `ps × chips` uniform chips seeded
+/// from [`CHIP_SEED`] — the single constructor behind every uniform RErr
+/// sweep ([`rerr_sweep`] and [`bitrobust_core::run_sweep`] plans), so no
+/// binary can drift off the shared chips.
 pub fn protocol_axis(ps: &[f64], chips: usize) -> ChipAxis {
     ChipAxis::uniform(ps.to_vec(), chips, CHIP_SEED)
 }
@@ -119,15 +110,12 @@ mod tests {
     }
 
     #[test]
-    fn protocol_grid_and_axis_agree_on_seeds_and_span() {
+    fn protocol_axis_spans_the_shared_chips() {
         let ps = [0.001, 0.01];
-        let grid = protocol_grid(QuantScheme::rquant(8), &ps, 7);
-        assert_eq!(grid.chip_seed_base, CHIP_SEED);
-        assert_eq!(grid.rates, ps.to_vec());
-        assert_eq!(grid.n_chips, 7);
         let axis = protocol_axis(&ps, 7);
         assert_eq!(axis, ChipAxis::uniform(ps.to_vec(), 7, CHIP_SEED));
-        assert_eq!(axis.n_points(), grid.rates.len() * grid.n_chips);
+        assert_eq!(axis.rates(), &ps);
+        assert_eq!(axis.n_points(), ps.len() * 7);
     }
 
     #[test]

@@ -119,10 +119,6 @@ impl Layer for Sequential {
         }
     }
 
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
-    }
-
     fn layer_type(&self) -> &'static str {
         "Sequential"
     }
@@ -281,10 +277,6 @@ impl Layer for Flatten {
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
         grad_output.clone().reshape(&self.input_shape)
-    }
-
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
     }
 
     fn layer_type(&self) -> &'static str {

@@ -133,21 +133,6 @@ impl Conv2d {
         self.weight.value().dim(0)
     }
 
-    /// Kernel size (square).
-    pub fn kernel(&self) -> usize {
-        self.kernel
-    }
-
-    /// Stride.
-    pub fn stride(&self) -> usize {
-        self.stride
-    }
-
-    /// Zero padding.
-    pub fn padding(&self) -> usize {
-        self.padding
-    }
-
     /// Output spatial size for a given input spatial size.
     pub fn output_size(&self, h: usize, w: usize) -> (usize, usize) {
         let oh = (h + 2 * self.padding - self.kernel) / self.stride + 1;
@@ -292,10 +277,6 @@ impl Layer for Conv2d {
     fn visit_params_ref(&self, visitor: &mut dyn FnMut(&Param)) {
         visitor(&self.weight);
         visitor(&self.bias);
-    }
-
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
     }
 
     fn layer_type(&self) -> &'static str {

@@ -53,12 +53,6 @@ impl Model {
         &self.name
     }
 
-    /// Shared access to the root layer chain (for structural consumers
-    /// such as the integer-domain lowering in [`crate::lower_layers`]).
-    pub fn root(&self) -> &Sequential {
-        &self.root
-    }
-
     /// Forward pass.
     pub fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
         self.root.forward(input, mode)

@@ -37,16 +37,6 @@ impl MaxPool2d {
         Self { kernel, stride, argmax: Vec::new(), input_shape: Vec::new() }
     }
 
-    /// Pooling window size (square).
-    pub fn kernel(&self) -> usize {
-        self.kernel
-    }
-
-    /// Stride.
-    pub fn stride(&self) -> usize {
-        self.stride
-    }
-
     /// The cache-free pooling computation shared by `forward` and `infer`;
     /// returns the output plus the winning input index per output cell.
     fn compute(&self, input: &Tensor) -> (Tensor, Vec<usize>) {
@@ -120,10 +110,6 @@ impl Layer for MaxPool2d {
         dx
     }
 
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
-    }
-
     fn layer_type(&self) -> &'static str {
         "MaxPool2d"
     }
@@ -191,10 +177,6 @@ impl Layer for GlobalAvgPool {
             }
         }
         dx
-    }
-
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
     }
 
     fn layer_type(&self) -> &'static str {

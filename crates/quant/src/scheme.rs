@@ -295,12 +295,11 @@ impl QuantScheme {
 
     /// Decodes a stored word to its integer quantization level.
     ///
-    /// This is the single definition of the word → level map shared by the
-    /// float path ([`QuantScheme::dequantize_word`]) and the integer-domain
-    /// inference path: signed words sign-extend from the low `m` bits,
-    /// unsigned words subtract the [`QuantScheme::max_level`] offset. Clean
-    /// levels lie in `[-L, L]`; bit errors can push the result to `-2^(m-1)`
-    /// (signed) or `L + 1` (unsigned).
+    /// This is the single definition of the word → level map behind
+    /// [`QuantScheme::dequantize_word`]: signed words sign-extend from the
+    /// low `m` bits, unsigned words subtract the [`QuantScheme::max_level`]
+    /// offset. Clean levels lie in `[-L, L]`; bit errors can push the result
+    /// to `-2^(m-1)` (signed) or `L + 1` (unsigned).
     pub fn decode_level(&self, word: u8) -> i32 {
         let level = self.max_level();
         let mask = self.live_mask();
@@ -324,27 +323,6 @@ impl QuantScheme {
         let q = self.decode_level(word);
         let normalized = q as f32 / level as f32;
         self.denormalize(normalized, range)
-    }
-
-    /// The affine map `w ≈ scale * q + offset` from a decoded level
-    /// ([`QuantScheme::decode_level`]) back to weight space.
-    ///
-    /// Algebraically identical to [`QuantScheme::dequantize_word`]'s
-    /// normalize-then-denormalize (symmetric: `w = q/L * hi`; asymmetric:
-    /// `w = (q/L + 1) * span/2 + lo`), but folded into one multiply-add so
-    /// the integer inference path can apply it to whole i32 accumulators.
-    /// The float association differs, so results may differ from the float
-    /// path in the last ulp — the native path is pinned by tolerance, the
-    /// float path bit-for-bit.
-    pub fn weight_affine(&self, range: QuantRange) -> (f32, f32) {
-        let level = self.max_level() as f32;
-        match self.range_mode {
-            RangeMode::Symmetric => (range.hi() / level, 0.0),
-            RangeMode::Asymmetric => {
-                let span = range.hi() - range.lo();
-                (span / (2.0 * level), range.lo() + 0.5 * span)
-            }
-        }
     }
 
     /// Maps a weight into the internal `[-1, 1]` domain.
@@ -502,9 +480,7 @@ mod tests {
     }
 
     /// Exhaustive decode pin: all 256 words × {signed, unsigned} × {4, 8}
-    /// bits, against independent reference arithmetic. The int8 inference
-    /// kernel reuses exactly these semantics, so this is the contract both
-    /// paths decode by.
+    /// bits, against independent reference arithmetic.
     #[test]
     fn decode_level_pins_all_words() {
         for bits in [4u8, 8] {
@@ -588,33 +564,6 @@ mod tests {
                 );
                 // And yet it decodes, one level above the clean maximum.
                 assert_eq!(scheme.decode_level(top), scheme.max_level() + 1);
-            }
-        }
-    }
-
-    /// `weight_affine` agrees with the float decode within a few ulps over
-    /// every word (it is the same algebra with one different association).
-    #[test]
-    fn weight_affine_matches_float_decode_within_tolerance() {
-        let range = QuantRange::new(-0.6, 1.1);
-        for bits in [2u8, 4, 8] {
-            for scheme in [
-                QuantScheme::rquant(bits),
-                QuantScheme::normal(bits),
-                QuantScheme::symmetric(bits),
-                QuantScheme::asymmetric_signed(bits),
-            ] {
-                let (scale, offset) = scheme.weight_affine(range);
-                for word in 0u16..=255 {
-                    let word = word as u8;
-                    let via_affine = scale * scheme.decode_level(word) as f32 + offset;
-                    let via_float = scheme.dequantize_word(word, range);
-                    assert!(
-                        (via_affine - via_float).abs() <= 1e-6 * via_float.abs().max(1.0),
-                        "{}: word {word:#04x}: {via_affine} vs {via_float}",
-                        scheme.describe()
-                    );
-                }
             }
         }
     }

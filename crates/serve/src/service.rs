@@ -15,7 +15,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
-use bitrobust_core::scheduler::{self, ItemSizing};
+use bitrobust_core::scheduler;
 use bitrobust_nn::{Mode, Model};
 use bitrobust_tensor::{softmax_rows, Tensor};
 
@@ -314,7 +314,7 @@ fn serve_wave(
             (wave[batch[0]].model.model(), Tensor::from_vec(shape, data))
         })
         .collect();
-    let outputs = scheduler::execute(inputs.len(), 1, ItemSizing::PerBatch, |b, _| {
+    let outputs = scheduler::execute(inputs.len(), 1, |b, _| {
         let (model, x) = &inputs[b];
         classify(model, x)
     });
