@@ -2,8 +2,8 @@
 //! forward over a test set, per simulated chip — comparing the serial
 //! reference path against the parallel fault-injection campaign engine,
 //! plus clean (single-pattern) evaluation through the same engine,
-//! single-model vs data-parallel RandBET training, and per-model
-//! `run_axis` loops vs the orchestrated multi-model sweep (`run_sweep`).
+//! single-model vs data-parallel RandBET training, and one `run_sweep`
+//! per model vs one orchestrated multi-model sweep.
 //!
 //! Besides the criterion benchmarks, running this bench writes a
 //! machine-readable `BENCH_robust_eval.json` at the workspace root with
@@ -17,9 +17,9 @@ use std::time::Instant;
 
 use bitrobust_biterror::UniformChip;
 use bitrobust_core::{
-    build, evaluate, evaluate_serial, robust_eval_uniform, run_axis, run_sweep, train, ArchKind,
-    Campaign, ChipAxis, DataParallel, NormKind, QuantizedModel, RandBetVariant, RobustEval,
-    SweepAxis, SweepModel, SweepOptions, TrainConfig, TrainMethod, TrainReport,
+    build, evaluate, evaluate_serial, robust_eval_uniform, run_sweep, train, ArchKind, Campaign,
+    ChipAxis, DataParallel, NormKind, QuantizedModel, RandBetVariant, RobustEval, SweepAxis,
+    SweepModel, SweepOptions, TrainConfig, TrainMethod, TrainReport,
 };
 use bitrobust_data::{AugmentConfig, Dataset, SynthDataset};
 use bitrobust_nn::{Mode, Model};
@@ -80,14 +80,11 @@ fn sweep_setup() -> (Vec<Model>, Vec<f64>, Dataset) {
     (models, vec![0.005, RATE], test_ds)
 }
 
-/// The baseline the orchestrator replaces: one (already parallel)
-/// `run_axis` campaign per model, in sequence.
+/// The baseline the orchestrator replaces: one (already parallel) sweep
+/// per model, in sequence.
 fn per_model_grids(models: &[Model], rates: &[f64], test_ds: &Dataset) -> Vec<Vec<RobustEval>> {
-    let axis = ChipAxis::uniform(rates.to_vec(), SWEEP_CHIPS, 42);
-    let schemes = [QuantScheme::rquant(8)];
-    models
-        .iter()
-        .map(|m| run_axis(m, &schemes, &axis, test_ds, BATCH, Mode::Eval).remove(0))
+    (0..models.len())
+        .map(|i| orchestrated_sweep(&models[i..=i], rates, test_ds).remove(0))
         .collect()
 }
 

@@ -4,10 +4,10 @@
 //! MNIST), a Wide ResNet on CIFAR100, and ResNet-20/50 for the architecture
 //! ablation. Training here runs on CPU, so every architecture keeps its
 //! *shape* (conv+norm+ReLU stacks with the same pooling schedule, residual
-//! blocks with projection shortcuts) at reduced width; `DESIGN.md` records
-//! the substitution. Group normalization is the default, matching the
-//! paper's finding that BatchNorm is fragile under weight bit errors
-//! (Tab. 10).
+//! blocks with projection shortcuts) at reduced width; the README section
+//! "Reproducing the paper's figures and tables" records the substitution.
+//! Group normalization is the default, matching the paper's finding that
+//! BatchNorm is fragile under weight bit errors (Tab. 10).
 
 use bitrobust_nn::{
     BatchNorm2d, Conv2d, Flatten, GlobalAvgPool, GroupNorm, Linear, MaxPool2d, Model, Relu,

@@ -36,8 +36,8 @@
 //!
 //! Defaults: `batch_size = EVAL_BATCH`, `mode = Mode::Eval`. All paths
 //! return byte-identical results for the same cells. Grids of cells —
-//! schemes × rates × chips, or a profiled chip's voltage/offset span — are
-//! a [`ChipAxis`] run through [`run_axis`].
+//! models × rates × chips, or a profiled chip's voltage/offset span — are
+//! a [`ChipAxis`] run through [`crate::run_sweep`].
 //!
 //! # Work-item granularity
 //!
@@ -107,9 +107,10 @@
 //! # Examples
 //!
 //! ```no_run
-//! use bitrobust_core::{build, run_axis, ArchKind, ChipAxis, NormKind, EVAL_BATCH};
+//! use bitrobust_core::{
+//!     build, run_sweep, ArchKind, ChipAxis, NormKind, SweepAxis, SweepModel, SweepOptions,
+//! };
 //! use bitrobust_data::SynthDataset;
-//! use bitrobust_nn::Mode;
 //! use bitrobust_quant::QuantScheme;
 //! use rand::SeedableRng;
 //!
@@ -119,19 +120,18 @@
 //!
 //! // One campaign: 2 rates x 50 chips = 100 grid cells, all parallel.
 //! // Evaluation is read-only: a shared `&Model` is all the engine needs.
-//! let axis = ChipAxis::uniform(vec![1e-3, 1e-2], 50, 1000);
-//! let schemes = [QuantScheme::rquant(8)];
-//! let sweep = run_axis(&model, &schemes, &axis, &test_ds, EVAL_BATCH, Mode::Eval).remove(0);
-//! println!("RErr at p=1%: {:.2}%", 100.0 * sweep[1].mean_error);
+//! let models = [SweepModel::new("simplenet", QuantScheme::rquant(8), &model)];
+//! let axes = [SweepAxis::new("uniform", ChipAxis::uniform(vec![1e-3, 1e-2], 50, 1000))];
+//! let sweep = run_sweep(&models, &axes, &test_ds, &SweepOptions::default(), None, |_, _| {});
+//! println!("RErr at p=1%: {:.2}%", 100.0 * sweep.robust(0, 0)[1].mean_error);
 //! ```
 
 use bitrobust_biterror::{ProfiledAxis, ProfiledChip, UniformChip};
 use bitrobust_data::Dataset;
 use bitrobust_nn::{Mode, Model};
-use bitrobust_quant::QuantScheme;
 use bitrobust_tensor::softmax_rows;
 
-use crate::eval::{EvalResult, RobustEval, EVAL_BATCH};
+use crate::eval::{EvalResult, EVAL_BATCH};
 use crate::scheduler::{self, ScratchReplicas};
 use crate::QuantizedModel;
 
@@ -475,8 +475,8 @@ fn validate(dataset: &Dataset, batch_size: usize, mode: Mode) {
 /// cell is built.
 ///
 /// Uniform grids are not a separate code path: `robust_eval_uniform`, the
-/// experiments' rate sweeps, and the sweep orchestrator all drive
-/// [`ChipAxis::Uniform`] through [`run_axis`].
+/// experiments' rate sweeps, and the durable sweeps all drive
+/// [`ChipAxis::Uniform`] through [`crate::run_sweep`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum ChipAxis {
     /// Uniform random chips: `rates × n_chips` cells with chip `c` seeded
@@ -588,96 +588,13 @@ impl PreparedAxis<'_> {
     }
 }
 
-/// Identifies one cell of a [`run_axis`] campaign.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AxisCell {
-    /// Index into the campaign's scheme list.
-    pub scheme: usize,
-    /// Group (= rate) index within the axis.
-    pub group: usize,
-    /// Point index within the group (chip or mapping offset).
-    pub point: usize,
-}
-
-/// Runs `schemes × axis` as **one** parallel campaign: quantizes the model
-/// once per scheme, builds every axis point's perturbed image lazily, and
-/// fans all cells out together. Returns `[scheme][group]` [`RobustEval`]s.
-///
-/// This is the one grid surface: uniform rate × chip grids
-/// (`robust_eval_uniform`, the experiments' rate sweeps) and profiled
-/// Tab. 5-style voltage/offset sweeps are both [`ChipAxis`] variants driven
-/// through here. The model is only read; patterns are written into scratch
-/// replicas, never into its weights.
-///
-/// # Panics
-///
-/// Panics if `schemes` or the axis is empty in any dimension, or on the
-/// [`Campaign::run`] conditions.
-pub fn run_axis(
-    model: &Model,
-    schemes: &[QuantScheme],
-    axis: &ChipAxis,
-    dataset: &Dataset,
-    batch_size: usize,
-    mode: Mode,
-) -> Vec<Vec<RobustEval>> {
-    run_axis_streaming(model, schemes, axis, dataset, batch_size, mode, |_, _| {})
-}
-
-/// [`run_axis`] with a per-cell progress callback: `on_cell(cell, result)`
-/// fires for every (scheme, group, point) cell — scheme-major, then
-/// group-major, then point order — as soon as its wave completes. The
-/// returned grid is byte-identical to [`run_axis`]'s.
-///
-/// # Panics
-///
-/// As [`run_axis`].
-pub fn run_axis_streaming(
-    model: &Model,
-    schemes: &[QuantScheme],
-    axis: &ChipAxis,
-    dataset: &Dataset,
-    batch_size: usize,
-    mode: Mode,
-    mut on_cell: impl FnMut(AxisCell, &EvalResult),
-) -> Vec<Vec<RobustEval>> {
-    assert!(!schemes.is_empty(), "campaign needs at least one scheme");
-    assert!(axis.n_groups() > 0, "campaign axis needs at least one rate");
-    assert!(axis.group_size() > 0, "campaign axis needs at least one point per rate");
-
-    let prepared = axis.prepare();
-    let group = axis.group_size();
-    schemes
-        .iter()
-        .enumerate()
-        .map(|(scheme_index, &scheme)| {
-            // Quantize once per scheme; build each point's image lazily as
-            // its wave is reached, so peak memory stays at one wave of
-            // images + replicas however large the axis.
-            let q0 = QuantizedModel::quantize(model, scheme);
-            let cells = Campaign::new(model, dataset)
-                .batch_size(batch_size)
-                .mode(mode)
-                .on_cell(|point, result| {
-                    let id = AxisCell {
-                        scheme: scheme_index,
-                        group: point / group,
-                        point: point % group,
-                    };
-                    on_cell(id, result);
-                })
-                .run_lazy(axis.n_points(), |point| prepared.make_image(&q0, point));
-            cells.chunks(group).map(RobustEval::from_results).collect()
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::arch::{build, ArchKind, NormKind};
     use crate::{evaluate, robust_eval_uniform, EVAL_BATCH};
     use bitrobust_data::SynthDataset;
+    use bitrobust_quant::QuantScheme;
     use rand::SeedableRng;
 
     fn tiny_setup() -> (Model, Dataset) {
@@ -755,30 +672,6 @@ mod tests {
         );
         assert_eq!(a.errors, b.errors);
         assert_eq!(a.mean_confidence, b.mean_confidence);
-    }
-
-    #[test]
-    fn run_axis_groups_cells_by_scheme_and_rate() {
-        let (model, test) = tiny_setup();
-        let schemes = [QuantScheme::rquant(8), QuantScheme::rquant(4)];
-        let axis = ChipAxis::uniform(vec![0.001, 0.01], 3, 1000);
-        let out = run_axis(&model, &schemes, &axis, &test, EVAL_BATCH, Mode::Eval);
-        assert_eq!(out.len(), 2);
-        assert!(out.iter().all(|per_rate| per_rate.len() == 2));
-        assert!(out.iter().flatten().all(|r| r.errors.len() == 3));
-
-        // Each grid cell must equal the standalone uniform evaluation.
-        let standalone = robust_eval_uniform(
-            &model,
-            QuantScheme::rquant(8),
-            &test,
-            0.01,
-            3,
-            1000,
-            EVAL_BATCH,
-            Mode::Eval,
-        );
-        assert_eq!(out[0][1].errors, standalone.errors);
     }
 
     #[test]

@@ -5,24 +5,26 @@
 //! fans out over the thread pool through the campaign engine
 //! ([`crate::campaign`]). Clean evaluation is a single-pattern campaign
 //! (batches are the work items); robust evaluation is a multi-pattern one
-//! (chips × batches) driven through the axis surface
-//! ([`crate::run_axis`] over a [`crate::ChipAxis`]). Results are
-//! byte-identical to the serial reference paths ([`evaluate_serial`],
-//! [`crate::Campaign::serial`]) at any thread count.
+//! (chips × batches), either over a hand-built list of injectors
+//! ([`robust_eval`]) or over a [`crate::ChipAxis`] through
+//! [`crate::run_sweep`]. Results are byte-identical to the serial
+//! reference paths ([`evaluate_serial`], [`crate::Campaign::serial`]) at
+//! any thread count.
 //!
 //! The only deliberately-serial paths are the probe-recording ones
 //! ([`evaluate_probed`], [`quantized_error_probed`]): activation probes
 //! record "most recent batch" statistics, which stay deterministic only
 //! when batches run in order on the probed model itself.
 
-use bitrobust_biterror::{ErrorInjector, UniformChip};
+use bitrobust_biterror::ErrorInjector;
 use bitrobust_data::Dataset;
 use bitrobust_nn::{Mode, Model};
 use bitrobust_quant::QuantScheme;
 use bitrobust_tensor::softmax_rows;
 
 use crate::probe::has_attached_probes;
-use crate::QuantizedModel;
+use crate::sweep::{run_sweep, SweepAxis, SweepModel, SweepOptions};
+use crate::{ChipAxis, QuantizedModel};
 
 /// Default evaluation batch size.
 pub const EVAL_BATCH: usize = 128;
@@ -231,7 +233,8 @@ impl RobustEval {
 /// written into scratch replicas, never the model.
 ///
 /// The injectors are the "chips": for the paper's headline numbers these
-/// are [`UniformChip`]s at a common rate `p` (see [`robust_eval_uniform`]);
+/// are [`bitrobust_biterror::UniformChip`]s at a common rate `p` (see
+/// [`robust_eval_uniform`]);
 /// for the generalization experiments they are profiled chips at an
 /// operating voltage with varying memory offsets.
 pub fn robust_eval<I: ErrorInjector>(
@@ -258,10 +261,10 @@ pub fn robust_eval<I: ErrorInjector>(
 /// default protocol: 50 chips, fixed seeds, shared across all models and
 /// rates so results are comparable).
 ///
-/// A single-rate [`crate::ChipAxis::Uniform`] driven through
-/// [`crate::run_axis`] — uniform grids are not a separate code path, so
-/// per-chip errors are bit-identical to the same cell of any larger
-/// axis/grid campaign with the same seeds.
+/// A one-model, single-rate [`crate::run_sweep`] over a
+/// [`ChipAxis::Uniform`] — uniform grids are not a separate code path, so
+/// per-chip errors are bit-identical to the same cell of any larger sweep
+/// with the same seeds.
 #[allow(clippy::too_many_arguments)] // mirrors the paper's evaluation protocol knobs
 pub fn robust_eval_uniform(
     model: &Model,
@@ -273,58 +276,10 @@ pub fn robust_eval_uniform(
     batch_size: usize,
     mode: Mode,
 ) -> RobustEval {
-    let axis = crate::campaign::ChipAxis::uniform(vec![p], n_chips, chip_seed_base);
-    crate::campaign::run_axis(
-        model,
-        std::slice::from_ref(&scheme),
-        &axis,
-        dataset,
-        batch_size,
-        mode,
-    )
-    .swap_remove(0)
-    .swap_remove(0)
-}
-
-/// The serial reference implementation of [`robust_eval_uniform`], built
-/// on [`crate::Campaign::serial`]: bit-identical results, one pattern
-/// and one batch at a time. Exists for determinism tests (e.g. the
-/// serial-vs-parallel in-training RErr probe comparison); real callers
-/// should use [`robust_eval_uniform`].
-#[allow(clippy::too_many_arguments)] // mirrors robust_eval_uniform exactly
-pub fn robust_eval_uniform_serial(
-    model: &Model,
-    scheme: QuantScheme,
-    dataset: &Dataset,
-    p: f64,
-    n_chips: usize,
-    chip_seed_base: u64,
-    batch_size: usize,
-    mode: Mode,
-) -> RobustEval {
-    let q0 = QuantizedModel::quantize(model, scheme);
-    let images: Vec<QuantizedModel> = uniform_chips(p, n_chips, chip_seed_base)
-        .iter()
-        .map(|chip| {
-            let mut q = q0.clone();
-            q.inject(chip);
-            q
-        })
-        .collect();
-    let results = crate::campaign::Campaign::new(model, dataset)
-        .batch_size(batch_size)
-        .mode(mode)
-        .serial()
-        .run(&images);
-    RobustEval::from_results(&results)
-}
-
-fn uniform_chips(
-    p: f64,
-    n_chips: usize,
-    chip_seed_base: u64,
-) -> Vec<bitrobust_biterror::UniformInjector> {
-    (0..n_chips).map(|c| UniformChip::new(chip_seed_base + c as u64).at_rate(p)).collect()
+    let models = [SweepModel::new("model", scheme, model)];
+    let axes = [SweepAxis::new("uniform", ChipAxis::uniform(vec![p], n_chips, chip_seed_base))];
+    let opts = SweepOptions { batch_size, mode };
+    run_sweep(&models, &axes, dataset, &opts, None, |_, _| {}).robust(0, 0).swap_remove(0)
 }
 
 #[cfg(test)]
@@ -438,32 +393,6 @@ mod tests {
             Mode::Eval,
         );
         assert_eq!(before, model.param_tensors());
-    }
-
-    #[test]
-    fn robust_eval_uniform_serial_is_bit_identical() {
-        let (model, test) = tiny_setup();
-        let parallel = robust_eval_uniform(
-            &model,
-            QuantScheme::rquant(8),
-            &test,
-            0.02,
-            4,
-            1000,
-            EVAL_BATCH,
-            Mode::Eval,
-        );
-        let serial = robust_eval_uniform_serial(
-            &model,
-            QuantScheme::rquant(8),
-            &test,
-            0.02,
-            4,
-            1000,
-            EVAL_BATCH,
-            Mode::Eval,
-        );
-        assert_eq!(parallel, serial);
     }
 
     #[test]

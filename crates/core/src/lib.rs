@@ -23,13 +23,13 @@
 //! The crate also implements the non-generalizing fixed-pattern baseline
 //! (`PATTBET`, [`TrainMethod::PattBet`]), the `Err`/`RErr` evaluation
 //! protocol ([`evaluate`], [`robust_eval_uniform`]) backed by the parallel
-//! fault-injection [`campaign`] engine (the [`Campaign`] builder, uniform
-//! and profiled-chip axes via [`run_axis`]), the reusable fork-join
-//! [`scheduler`] every batch-parallel subsystem (campaigns, sweeps,
-//! data-parallel training, the `bitrobust-serve` inference service) runs
-//! through, the durable [`sweep`] orchestrator (multi-model × multi-axis
-//! campaigns checkpointed to a resumable on-disk [`SweepStore`] —
-//! [`run_sweep`]), deterministic data-parallel training
+//! fault-injection [`campaign`] engine (the [`Campaign`] builder), the
+//! reusable fork-join [`scheduler`] every batch-parallel subsystem
+//! (campaigns, sweeps, data-parallel training, the `bitrobust-serve`
+//! inference service) runs through, the [`sweep`] orchestrator that runs
+//! every uniform or profiled-chip axis (multi-model × multi-axis
+//! campaigns, optionally checkpointed to a resumable on-disk
+//! [`SweepStore`] — [`run_sweep`]), deterministic data-parallel training
 //! ([`TrainConfig::data_parallel`] → [`data_parallel`]),
 //! the Prop. 1 generalization bound ([`deviation_bound`]), and the energy
 //! trade-off analysis combining the SRAM voltage/energy models with
@@ -62,7 +62,7 @@
 //! };
 //! let report = train(&mut model, &train_ds, &test_ds, &TrainConfig::new(Some(scheme), method));
 //! let robust =
-//!     robust_eval_uniform(&mut model, scheme, &test_ds, 0.01, 20, 1000, 128, Mode::Eval);
+//!     robust_eval_uniform(&model, scheme, &test_ds, 0.01, 20, 1000, 128, Mode::Eval);
 //! println!("Err {:.2}% RErr {:.2}%", 100.0 * report.clean_error, 100.0 * robust.mean_error);
 //! ```
 
@@ -86,14 +86,13 @@ mod train;
 
 pub use arch::{build, ArchKind, BuiltModel, NormKind};
 pub use bound::{deviation_bound, deviation_probability};
-pub use campaign::{run_axis, run_axis_streaming, AxisCell, Campaign, ChipAxis};
+pub use campaign::{Campaign, ChipAxis};
 pub use data_parallel::{DataParallel, TRAIN_SHARDS};
 pub use ecc::{apply_secded, multi_error_probability, DoubleErrorPolicy, EccStats, SecdedConfig};
 pub use energy::{best_saving_within, energy_tradeoff, TradeoffPoint};
 pub use eval::{
     evaluate, evaluate_probed, evaluate_serial, quantized_error, quantized_error_probed,
-    robust_eval, robust_eval_uniform, robust_eval_uniform_serial, EvalResult, RobustEval,
-    EVAL_BATCH,
+    robust_eval, robust_eval_uniform, EvalResult, RobustEval, EVAL_BATCH,
 };
 pub use probe::{has_attached_probes, probe_handles, ActivationProbe, ProbeHandle, ProbeStats};
 pub use qmodel::QuantizedModel;

@@ -204,8 +204,8 @@ impl SweepResults {
     }
 
     /// The `(model, axis)` block aggregated per group: one [`RobustEval`]
-    /// per rate, exactly as [`crate::run_axis`] would return for that
-    /// model and axis alone.
+    /// per rate, exactly as a sweep of that model and axis alone would
+    /// return.
     ///
     /// # Panics
     ///
@@ -413,7 +413,7 @@ pub fn run_sweep(
 mod tests {
     use super::*;
     use crate::arch::{build, ArchKind, NormKind};
-    use crate::{run_axis, EVAL_BATCH};
+    use crate::robust_eval_uniform;
     use bitrobust_data::SynthDataset;
     use rand::SeedableRng;
 
@@ -425,28 +425,54 @@ mod tests {
         (a, b, test)
     }
 
+    fn sweep(models: &[SweepModel<'_>], axes: &[SweepAxis], test: &Dataset) -> SweepResults {
+        run_sweep(models, axes, test, &SweepOptions::default(), None, |_, _| {})
+    }
+
     #[test]
     fn sweep_matches_per_model_axis_runs() {
         let (a, b, test) = two_models();
         let scheme = QuantScheme::rquant(8);
-        let axis = SweepAxis::new("uniform", ChipAxis::uniform(vec![0.001, 0.01], 3, 1000));
+        let axes = [SweepAxis::new("uniform", ChipAxis::uniform(vec![0.001, 0.01], 3, 1000))];
         let models = vec![SweepModel::new("a", scheme, &a), SweepModel::new("b", scheme, &b)];
-        let results = run_sweep(
-            &models,
-            std::slice::from_ref(&axis),
-            &test,
-            &SweepOptions::default(),
-            None,
-            |_, _| {},
-        );
+        let results = sweep(&models, &axes, &test);
         assert_eq!(results.evaluated, 12);
         assert_eq!(results.resumed, 0);
 
-        for (mi, model) in [&a, &b].into_iter().enumerate() {
-            let alone =
-                run_axis(model, &[scheme], &axis.axis, &test, EVAL_BATCH, Mode::Eval).remove(0);
-            assert_eq!(results.robust(mi, 0), alone, "model {mi}");
+        for (mi, model) in models.iter().enumerate() {
+            let alone = sweep(std::slice::from_ref(model), &axes, &test);
+            assert_eq!(results.robust(mi, 0), alone.robust(0, 0), "model {mi}");
         }
+    }
+
+    /// One model under two schemes is two sweep models: each scheme's
+    /// cells group by rate and match the standalone uniform evaluation.
+    #[test]
+    fn sweep_groups_cells_by_scheme_and_rate() {
+        let (model, _, test) = two_models();
+        let models = vec![
+            SweepModel::new("q8", QuantScheme::rquant(8), &model),
+            SweepModel::new("q4", QuantScheme::rquant(4), &model),
+        ];
+        let axes = [SweepAxis::new("uniform", ChipAxis::uniform(vec![0.001, 0.01], 3, 1000))];
+        let results = sweep(&models, &axes, &test);
+        assert_eq!(results.n_models(), 2);
+        let out: Vec<Vec<RobustEval>> = (0..2).map(|m| results.robust(m, 0)).collect();
+        assert!(out.iter().all(|per_rate| per_rate.len() == 2));
+        assert!(out.iter().flatten().all(|r| r.errors.len() == 3));
+
+        // Each grid cell must equal the standalone uniform evaluation.
+        let standalone = robust_eval_uniform(
+            &model,
+            QuantScheme::rquant(8),
+            &test,
+            0.01,
+            3,
+            1000,
+            EVAL_BATCH,
+            Mode::Eval,
+        );
+        assert_eq!(out[0][1].errors, standalone.errors);
     }
 
     #[test]

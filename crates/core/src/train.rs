@@ -10,10 +10,7 @@ use rand::Rng;
 use rand::SeedableRng;
 
 use crate::data_parallel::{sharded_forward_backward, DataParallel};
-use crate::eval::{
-    evaluate, quantized_error, robust_eval_uniform, robust_eval_uniform_serial, RobustEval,
-    EVAL_BATCH,
-};
+use crate::eval::{evaluate, quantized_error, robust_eval_uniform, RobustEval, EVAL_BATCH};
 use crate::scheduler::ShardReplicas;
 use crate::QuantizedModel;
 
@@ -107,31 +104,27 @@ impl TrainMethod {
 /// the test set after every epoch: the model is [`Model::clone`]d (so
 /// training state — caches, gradients, probes — is untouched), clipped
 /// like the final evaluation would be, and evaluated over `n_chips`
-/// uniform chips through the parallel campaign engine. The per-epoch
-/// results land in [`TrainReport::epoch_rerr`].
+/// uniform chips (chip `c` seeded `1000 + c`, batches of [`EVAL_BATCH`])
+/// through the parallel campaign engine. The per-epoch results land in
+/// [`TrainReport::epoch_rerr`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RErrProbe {
     /// Bit error rate to probe at.
     pub p: f64,
     /// Number of uniform chips per probe.
     pub n_chips: usize,
-    /// Seed of chip 0 (chip `c` uses `chip_seed_base + c`).
-    pub chip_seed_base: u64,
-    /// Evaluation batch size.
-    pub batch_size: usize,
-    /// Route the probe through the serial reference engine instead of the
-    /// parallel campaign. Results are bit-identical either way — this
-    /// exists so the determinism suite can prove exactly that.
-    pub serial: bool,
 }
 
 impl RErrProbe {
-    /// A probe at rate `p` over `n_chips` chips with the protocol defaults
-    /// (chip seed base 1000, [`EVAL_BATCH`], parallel engine).
+    /// A probe at rate `p` over `n_chips` chips.
     pub fn new(p: f64, n_chips: usize) -> Self {
-        Self { p, n_chips, chip_seed_base: 1000, batch_size: EVAL_BATCH, serial: false }
+        Self { p, n_chips }
     }
 }
+
+/// Seed of the probe's chip 0: the experiments' shared chip seed, so a
+/// probe measures the same chips as the protocol's RErr.
+const PROBE_CHIP_SEED: u64 = 1000;
 
 /// Full training configuration.
 #[derive(Debug, Clone)]
@@ -489,30 +482,16 @@ pub fn train(
             if let Some(wmax) = cfg.method.wmax() {
                 snapshot.clip_params(wmax);
             }
-            let r = if probe.serial {
-                robust_eval_uniform_serial(
-                    &snapshot,
-                    scheme,
-                    test_ds,
-                    probe.p,
-                    probe.n_chips,
-                    probe.chip_seed_base,
-                    probe.batch_size,
-                    Mode::Eval,
-                )
-            } else {
-                robust_eval_uniform(
-                    &snapshot,
-                    scheme,
-                    test_ds,
-                    probe.p,
-                    probe.n_chips,
-                    probe.chip_seed_base,
-                    probe.batch_size,
-                    Mode::Eval,
-                )
-            };
-            epoch_rerr.push(r);
+            epoch_rerr.push(robust_eval_uniform(
+                &snapshot,
+                scheme,
+                test_ds,
+                probe.p,
+                probe.n_chips,
+                PROBE_CHIP_SEED,
+                EVAL_BATCH,
+                Mode::Eval,
+            ));
         }
     }
 
@@ -695,25 +674,35 @@ mod tests {
         assert_eq!(report.final_loss, *report.epoch_losses.last().unwrap());
     }
 
+    /// The final epoch's probe evaluates the same clipped weights `train`
+    /// returns, so the serial reference engine over that model's probe
+    /// chips must reproduce it bit for bit.
     #[test]
-    fn rerr_probe_serial_and_parallel_agree() {
-        let mut reports = Vec::new();
-        for serial in [false, true] {
-            let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-            let built = build(ArchKind::Mlp, [1, 14, 14], 10, NormKind::Group, &mut rng);
-            let mut model = built.model;
-            let (train_ds, test_ds) = mnist_subset();
-            let mut cfg = quick_cfg(TrainMethod::RandBet {
-                wmax: Some(0.1),
-                p: 0.01,
-                variant: RandBetVariant::Standard,
-            });
-            cfg.warmup_loss = 100.0;
-            cfg.epochs = 2;
-            cfg.rerr_probe = Some(RErrProbe { serial, ..RErrProbe::new(0.01, 2) });
-            reports.push(train(&mut model, &train_ds, &test_ds, &cfg));
-        }
-        assert_eq!(reports[0], reports[1], "probe engine must not affect any reported number");
+    fn final_rerr_probe_matches_serial_campaign() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+        let built = build(ArchKind::Mlp, [1, 14, 14], 10, NormKind::Group, &mut rng);
+        let mut model = built.model;
+        let (train_ds, test_ds) = mnist_subset();
+        let mut cfg = quick_cfg(TrainMethod::RandBet {
+            wmax: Some(0.1),
+            p: 0.01,
+            variant: RandBetVariant::Standard,
+        });
+        cfg.warmup_loss = 100.0;
+        cfg.epochs = 2;
+        cfg.rerr_probe = Some(RErrProbe::new(0.01, 2));
+        let report = train(&mut model, &train_ds, &test_ds, &cfg);
+
+        let q0 = QuantizedModel::quantize(&model, QuantScheme::rquant(8));
+        let images: Vec<QuantizedModel> = (0..2)
+            .map(|c| {
+                let mut q = q0.clone();
+                q.inject(&UniformChip::new(1000 + c).at_rate(0.01));
+                q
+            })
+            .collect();
+        let serial = crate::Campaign::new(&model, &test_ds).serial().run(&images);
+        assert_eq!(report.epoch_rerr.last(), Some(&RobustEval::from_results(&serial)));
     }
 
     #[test]

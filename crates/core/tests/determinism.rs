@@ -2,8 +2,9 @@
 //!
 //! The invariant being pinned: **parallel == serial == seed**. Every
 //! parallel path — clean `evaluate`, the campaign engine, the streaming
-//! campaign, and the in-training RErr probes — must produce byte-identical results to its serial reference,
-//! and those results must be byte-identical across thread counts.
+//! campaign, sweeps, and the in-training RErr probes — must produce
+//! byte-identical results to its serial reference, and those results must
+//! be byte-identical across thread counts.
 //!
 //! The in-process tests check parallel-vs-serial at whatever thread count
 //! this process runs with. The `thread_matrix` test re-executes this test
@@ -30,9 +31,10 @@ mod common;
 use common::weights_fingerprint;
 
 use bitrobust_core::{
-    build, evaluate, evaluate_serial, run_axis, run_axis_streaming, train, ArchKind, Campaign,
-    ChipAxis, DataParallel, EvalResult, NormKind, PattPattern, QuantizedModel, RErrProbe,
-    RandBetVariant, SweepStore, TrainConfig, TrainMethod, TrainReport, EVAL_BATCH,
+    build, evaluate, evaluate_serial, run_sweep, train, ArchKind, Campaign, ChipAxis, DataParallel,
+    EvalResult, NormKind, PattPattern, QuantizedModel, RErrProbe, RandBetVariant, RobustEval,
+    SweepAxis, SweepModel, SweepOptions, SweepStore, TrainConfig, TrainMethod, TrainReport,
+    EVAL_BATCH,
 };
 use bitrobust_data::{AugmentConfig, Dataset, SynthDataset};
 use bitrobust_nn::{Mode, Model};
@@ -67,8 +69,12 @@ fn mnist_subset() -> (Dataset, Dataset) {
     (Dataset::new("train", xt, yt, 10), Dataset::new("test", xe, ye, 10))
 }
 
-/// A short RandBET run with the per-epoch RErr probe enabled.
-fn probed_training_report(serial_probe: bool) -> TrainReport {
+/// A short RandBET run with the per-epoch RErr probe enabled (2 chips at
+/// 1%), after asserting its final probe against the serial reference: the
+/// final epoch's probe evaluates the same clipped weights `train`
+/// returns, so `Campaign::serial` over that model's probe chips must
+/// reproduce it bit for bit.
+fn probed_training_report() -> TrainReport {
     let mut rng = rand::rngs::StdRng::seed_from_u64(2);
     let built = build(ArchKind::Mlp, [1, 14, 14], 10, NormKind::Group, &mut rng);
     let mut model = built.model;
@@ -81,8 +87,16 @@ fn probed_training_report(serial_probe: bool) -> TrainReport {
     cfg.batch_size = 128;
     cfg.augment = AugmentConfig::none();
     cfg.warmup_loss = 100.0;
-    cfg.rerr_probe = Some(RErrProbe { serial: serial_probe, ..RErrProbe::new(0.01, 2) });
-    train(&mut model, &train_ds, &test_ds, &cfg)
+    cfg.rerr_probe = Some(RErrProbe::new(0.01, 2));
+    let report = train(&mut model, &train_ds, &test_ds, &cfg);
+
+    let serial = Campaign::new(&model, &test_ds).serial().run(&chip_images(&model, 2, 0.01));
+    assert_eq!(
+        report.epoch_rerr.last(),
+        Some(&RobustEval::from_results(&serial)),
+        "the in-training probe must match its serial reference"
+    );
+    report
 }
 
 /// The training methods the data-parallel determinism contract is pinned
@@ -179,21 +193,6 @@ fn streaming_campaign_matches_batch() {
     assert_eq!(streamed_cells, in_order, "cells must stream exactly once, in order");
 }
 
-#[test]
-fn streaming_grid_matches_batch_grid() {
-    let (model, test) = tiny_setup();
-    let schemes = [QuantScheme::rquant(8), QuantScheme::rquant(4)];
-    let axis = ChipAxis::uniform(vec![0.001, 0.01], 3, 1000);
-    let batch = run_axis(&model, &schemes, &axis, &test, EVAL_BATCH, Mode::Eval);
-    let mut cells = 0usize;
-    let streamed =
-        run_axis_streaming(&model, &schemes, &axis, &test, EVAL_BATCH, Mode::Eval, |_, _| {
-            cells += 1
-        });
-    assert_eq!(batch, streamed);
-    assert_eq!(cells, schemes.len() * axis.n_points());
-}
-
 // ---------------------------------------------------------------------------
 // (c2) profiled-chip axes: campaign vs serial reference, fixed iteration
 // ---------------------------------------------------------------------------
@@ -230,17 +229,13 @@ fn profiled_axis_matches_serial_reference_and_iteration_order() {
         .collect();
     let serial = Campaign::new(&model, &test).serial().run(&images);
 
+    let models = [SweepModel::new("mlp", scheme, &model)];
+    let axes = [SweepAxis::new("profiled", ChipAxis::Profiled(axis.clone()))];
     let mut seen = Vec::new();
-    let campaign = run_axis_streaming(
-        &model,
-        &[scheme],
-        &ChipAxis::Profiled(axis.clone()),
-        &test,
-        EVAL_BATCH,
-        Mode::Eval,
-        |cell, _| seen.push((cell.group, cell.point)),
-    )
-    .remove(0);
+    let campaign = run_sweep(&models, &axes, &test, &SweepOptions::default(), None, |cell, _| {
+        seen.push((cell.group, cell.point))
+    })
+    .robust(0, 0);
 
     assert_eq!(campaign.iter().map(|r| r.errors.len()).sum::<usize>(), axis.n_points());
     for (group, robust) in campaign.iter().enumerate() {
@@ -252,12 +247,6 @@ fn profiled_axis_matches_serial_reference_and_iteration_order() {
     let expected: Vec<(usize, usize)> =
         (0..axis.rates.len()).flat_map(|g| (0..axis.n_offsets).map(move |o| (g, o))).collect();
     assert_eq!(seen, expected, "profiled cells must stream rate-major, in order");
-
-    // And the batch entry point agrees with the streaming one.
-    let batch =
-        run_axis(&model, &[scheme], &ChipAxis::Profiled(axis), &test, EVAL_BATCH, Mode::Eval)
-            .remove(0);
-    assert_eq!(batch, campaign);
 }
 
 // ---------------------------------------------------------------------------
@@ -265,11 +254,9 @@ fn profiled_axis_matches_serial_reference_and_iteration_order() {
 // ---------------------------------------------------------------------------
 
 #[test]
-fn in_training_probes_parallel_matches_serial() {
-    let parallel = probed_training_report(false);
-    let serial = probed_training_report(true);
-    assert_eq!(parallel, serial, "the probe engine must not affect any reported number");
-    assert_eq!(parallel.epoch_rerr.len(), 2);
+fn in_training_probe_matches_serial_campaign() {
+    let report = probed_training_report();
+    assert_eq!(report.epoch_rerr.len(), 2);
 }
 
 // ---------------------------------------------------------------------------
@@ -359,8 +346,7 @@ fn worker_fingerprints() {
     println!("FP campaign {}", fp_results(&serial));
 
     // (d) in-training probes.
-    let report = probed_training_report(false);
-    assert_eq!(report, probed_training_report(true));
+    let report = probed_training_report();
     println!("FP probed_training {}", fp_report(&report));
 
     // (e) data-parallel training: report + final weights, after asserting

@@ -19,11 +19,12 @@
 
 use bitrobust_biterror::UniformChip;
 use bitrobust_core::{
-    build, run_axis, train, ArchKind, Campaign, ChipAxis, DataParallel, NormKind, QuantizedModel,
-    RErrProbe, RandBetVariant, TrainConfig, TrainMethod, TrainReport, EVAL_BATCH,
+    build, run_sweep, train, ArchKind, Campaign, ChipAxis, DataParallel, NormKind, QuantizedModel,
+    RErrProbe, RandBetVariant, SweepAxis, SweepModel, SweepOptions, TrainConfig, TrainMethod,
+    TrainReport,
 };
 use bitrobust_data::{AugmentConfig, Dataset, SynthDataset};
-use bitrobust_nn::{Mode, Model};
+use bitrobust_nn::Model;
 use bitrobust_quant::QuantScheme;
 use rand::SeedableRng;
 
@@ -109,15 +110,16 @@ fn golden_training_report(data_parallel: Option<DataParallel>) -> (TrainReport, 
     (report, model)
 }
 
-fn golden_grid_cell() -> (Model, Vec<f32>, f32, f32) {
+fn golden_grid_cell() -> (Vec<f32>, f32, f32) {
     let mut rng = rand::rngs::StdRng::seed_from_u64(0);
     let model = build(ArchKind::Mlp, [1, 14, 14], 10, NormKind::Group, &mut rng).model;
     let (_, test) = SynthDataset::Mnist.generate(0);
-    let axis = ChipAxis::uniform(vec![0.01], 3, 1000);
-    let cell = run_axis(&model, &[QuantScheme::rquant(8)], &axis, &test, EVAL_BATCH, Mode::Eval)
-        .remove(0)
+    let models = [SweepModel::new("mlp", QuantScheme::rquant(8), &model)];
+    let axes = [SweepAxis::new("uniform", ChipAxis::uniform(vec![0.01], 3, 1000))];
+    let cell = run_sweep(&models, &axes, &test, &SweepOptions::default(), None, |_, _| {})
+        .robust(0, 0)
         .remove(0);
-    (model, cell.errors.clone(), cell.mean_error, cell.std_error)
+    (cell.errors, cell.mean_error, cell.std_error)
 }
 
 fn bits(values: &[f32]) -> Vec<u32> {
@@ -188,7 +190,7 @@ fn golden_data_parallel_trajectory_is_pinned() {
 
 #[test]
 fn golden_campaign_cell_is_pinned() {
-    let (_, errors, mean, std) = golden_grid_cell();
+    let (errors, mean, std) = golden_grid_cell();
     assert_eq!(
         bits(&errors),
         GOLDEN_CELL_ERRORS,
@@ -212,7 +214,7 @@ fn golden_cell_is_pinned_through_eager_campaign_run() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(0);
     let model = build(ArchKind::Mlp, [1, 14, 14], 10, NormKind::Group, &mut rng).model;
     let (_, test) = SynthDataset::Mnist.generate(0);
-    // The exact images `run_axis` builds for the pinned cell: rquant(8)
+    // The exact images `run_sweep` builds for the pinned cell: rquant(8)
     // at rate 1%, chips seeded `1000 + c`.
     let q0 = QuantizedModel::quantize(&model, QuantScheme::rquant(8));
     let images: Vec<QuantizedModel> = (0..3)
@@ -243,7 +245,7 @@ fn golden_cell_is_pinned_with_tracing_on() {
         level: bitrobust_obs::ObsLevel::Trace,
         ..Default::default()
     });
-    let (_, errors, mean, std) = golden_grid_cell();
+    let (errors, mean, std) = golden_grid_cell();
     assert_eq!(
         bits(&errors),
         GOLDEN_CELL_ERRORS,
@@ -274,7 +276,7 @@ fn print_golden_values() {
     println!("GOLDEN_DP_CLEAN_ERROR: 0x{:08x}", dp_report.clean_error.to_bits());
     println!("GOLDEN_DP_WEIGHTS_HASH: 0x{:016x}", weights_fingerprint(&dp_model));
 
-    let (_, errors, mean, std) = golden_grid_cell();
+    let (errors, mean, std) = golden_grid_cell();
     println!("GOLDEN_CELL_ERRORS: {}", hex(&bits(&errors)));
     println!("GOLDEN_CELL_MEAN: 0x{:08x}", mean.to_bits());
     println!("GOLDEN_CELL_STD: 0x{:08x}", std.to_bits());

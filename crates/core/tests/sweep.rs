@@ -8,8 +8,8 @@ use std::path::PathBuf;
 
 use bitrobust_biterror::{ChipKind, ProfiledAxis};
 use bitrobust_core::{
-    run_axis, run_sweep, Campaign, ChipAxis, QuantizedModel, SweepAxis, SweepModel, SweepOptions,
-    SweepStore, EVAL_BATCH,
+    run_sweep, Campaign, ChipAxis, QuantizedModel, SweepAxis, SweepModel, SweepOptions, SweepStore,
+    EVAL_BATCH,
 };
 use bitrobust_nn::Mode;
 use bitrobust_quant::QuantScheme;
@@ -32,14 +32,24 @@ fn multi_model_sweep_matches_per_model_grids_bit_for_bit() {
     let (a, b, test) = two_models();
     let scheme = QuantScheme::rquant(8);
     let rates = vec![0.001, 0.01];
-    let axis = ChipAxis::uniform(rates, 3, 1000);
-    let axes = vec![SweepAxis::new("uniform", axis.clone())];
+    let axes = vec![SweepAxis::new("uniform", ChipAxis::uniform(rates, 3, 1000))];
     let models = vec![SweepModel::new("mlp-a", scheme, &a), SweepModel::new("mlp-b", scheme, &b)];
     let results = run_sweep(&models, &axes, &test, &SweepOptions::default(), None, |_, _| {});
 
-    for (mi, model) in [&a, &b].into_iter().enumerate() {
-        let alone = run_axis(model, &[scheme], &axis, &test, EVAL_BATCH, Mode::Eval).remove(0);
-        assert_eq!(results.robust(mi, 0), alone, "model {mi} must match its standalone grid");
+    for (mi, model) in models.iter().enumerate() {
+        let alone = run_sweep(
+            std::slice::from_ref(model),
+            &axes,
+            &test,
+            &SweepOptions::default(),
+            None,
+            |_, _| {},
+        );
+        assert_eq!(
+            results.robust(mi, 0),
+            alone.robust(0, 0),
+            "model {mi} must match its standalone grid"
+        );
     }
 }
 

@@ -8,8 +8,9 @@
 //! The paper's robustness techniques operate on weights; the datasets
 //! provide three difficulty levels against which clean error and robust
 //! error are traded off. [`SynthDataset`] generates class-prototype tasks
-//! reproducing that ordering (see `DESIGN.md` for the substitution
-//! rationale), [`Dataset`] holds the data, and [`augment_batch`] applies
+//! reproducing that ordering (the README section "Reproducing the paper's
+//! figures and tables" gives the substitution rationale), [`Dataset`]
+//! holds the data, and [`augment_batch`] applies
 //! the crop/flip/cutout recipe used during training.
 //!
 //! # Examples

@@ -4,10 +4,9 @@
 
 use std::time::Instant;
 
-use bitrobust_core::{robust_eval_uniform, ArchKind, NormKind, TrainMethod};
+use bitrobust_core::{ArchKind, NormKind, TrainMethod};
 use bitrobust_experiments::zoo::ZooSpec;
-use bitrobust_experiments::{dataset_pair, zoo_model, DatasetKind, ExpOptions, Table};
-use bitrobust_nn::Mode;
+use bitrobust_experiments::{dataset_pair, rerr_sweep, zoo_model, DatasetKind, ExpOptions, Table};
 use bitrobust_quant::QuantScheme;
 
 fn main() {
@@ -22,16 +21,9 @@ fn main() {
         let start = Instant::now();
         let (model, report) = zoo_model(&spec, &train_ds, &test_ds, opts.no_cache);
         let train_time = start.elapsed().as_secs_f64();
-        let robust = robust_eval_uniform(
-            &model,
-            QuantScheme::rquant(8),
-            &test_ds,
-            0.005,
-            opts.chips.min(10),
-            1000,
-            128,
-            Mode::Eval,
-        );
+        let robust =
+            rerr_sweep(&model, QuantScheme::rquant(8), &test_ds, &[0.005], opts.chips.min(10))
+                .remove(0);
         let arch_name = match spec.arch {
             ArchKind::SimpleNet => "simplenet",
             ArchKind::WideSimpleNet => "wide-simplenet",

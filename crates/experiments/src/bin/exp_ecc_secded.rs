@@ -9,14 +9,13 @@
 
 use bitrobust_biterror::UniformChip;
 use bitrobust_core::{
-    apply_secded, evaluate, multi_error_probability, robust_eval_uniform, DoubleErrorPolicy,
-    QuantizedModel, RandBetVariant, SecdedConfig, TrainMethod, EVAL_BATCH,
+    apply_secded, multi_error_probability, Campaign, DoubleErrorPolicy, QuantizedModel,
+    RandBetVariant, SecdedConfig, TrainMethod,
 };
 use bitrobust_experiments::zoo::ZooSpec;
 use bitrobust_experiments::{
-    dataset_pair, pct, zoo_model, DatasetKind, ExpOptions, Table, CHIP_SEED,
+    dataset_pair, pct, rerr_sweep, zoo_model, DatasetKind, ExpOptions, Table, CHIP_SEED,
 };
-use bitrobust_nn::Mode;
 use bitrobust_quant::QuantScheme;
 
 fn main() {
@@ -42,7 +41,7 @@ fn main() {
     let mut rq_spec = ZooSpec::new(DatasetKind::Cifar10, Some(scheme), TrainMethod::Normal);
     rq_spec.epochs = opts.epochs(rq_spec.epochs);
     rq_spec.seed = opts.seed;
-    let (mut rquant, _) = zoo_model(&rq_spec, &train_ds, &test_ds, opts.no_cache);
+    let (rquant, _) = zoo_model(&rq_spec, &train_ds, &test_ds, opts.no_cache);
 
     let mut rb_spec = ZooSpec::new(
         DatasetKind::Cifar10,
@@ -60,19 +59,11 @@ fn main() {
 
     // RQuant, no protection.
     let mut row = vec!["RQUANT, no ECC".to_string()];
-    for &p in &ps {
-        let r = robust_eval_uniform(
-            &rquant,
-            scheme,
-            &test_ds,
-            p,
-            opts.chips,
-            CHIP_SEED,
-            EVAL_BATCH,
-            Mode::Eval,
-        );
-        row.push(pct(r.mean_error as f64));
-    }
+    row.extend(
+        rerr_sweep(&rquant, scheme, &test_ds, &ps, opts.chips)
+            .iter()
+            .map(|r| pct(r.mean_error as f64)),
+    );
     table.row_owned(row);
 
     // RQuant with SECDED (both double-error policies).
@@ -80,26 +71,18 @@ fn main() {
         let cfg = SecdedConfig { policy, ..Default::default() };
         let mut row = vec![format!("RQUANT + SECDED ({policy:?})")];
         for &p in &ps {
-            row.push(pct(secded_rerr(&mut rquant, scheme, &test_ds, p, opts.chips, &cfg)));
+            row.push(pct(secded_rerr(&rquant, scheme, &test_ds, p, opts.chips, &cfg)));
         }
         table.row_owned(row);
     }
 
     // RandBET, no protection.
     let mut row = vec!["RANDBET 0.1 p=1%, no ECC".to_string()];
-    for &p in &ps {
-        let r = robust_eval_uniform(
-            &randbet,
-            scheme,
-            &test_ds,
-            p,
-            opts.chips,
-            CHIP_SEED,
-            EVAL_BATCH,
-            Mode::Eval,
-        );
-        row.push(pct(r.mean_error as f64));
-    }
+    row.extend(
+        rerr_sweep(&randbet, scheme, &test_ds, &ps, opts.chips)
+            .iter()
+            .map(|r| pct(r.mean_error as f64)),
+    );
     table.row_owned(row);
 
     println!("Empirical comparison (CIFAR10 stand-in):\n{}", table.render());
@@ -108,24 +91,22 @@ fn main() {
     println!("energy, and keeps working at high rates.");
 }
 
+/// Mean RErr over the shared chips after SECDED correction: each chip's
+/// injected image is decoded against the clean one before evaluation.
 fn secded_rerr(
-    model: &mut bitrobust_nn::Model,
+    model: &bitrobust_nn::Model,
     scheme: QuantScheme,
     test_ds: &bitrobust_data::Dataset,
     p: f64,
     chips: usize,
     cfg: &SecdedConfig,
 ) -> f64 {
-    let snapshot = model.param_tensors();
     let q0 = QuantizedModel::quantize(model, scheme);
-    let mut sum = 0f64;
-    for c in 0..chips {
+    let results = Campaign::new(model, test_ds).run_lazy(chips, |c| {
         let mut q = q0.clone();
         q.inject(&UniformChip::new(CHIP_SEED + c as u64).at_rate(p));
         let _ = apply_secded(&q0, &mut q, cfg);
-        q.write_to(model);
-        sum += evaluate(model, test_ds, EVAL_BATCH, Mode::Eval).error as f64;
-    }
-    model.set_param_tensors(&snapshot);
-    sum / chips as f64
+        q
+    });
+    results.iter().map(|r| r.error as f64).sum::<f64>() / chips as f64
 }

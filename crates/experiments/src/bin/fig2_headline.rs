@@ -6,11 +6,14 @@
 //! the best curve with the Fig. 1 energy model to state the paper's
 //! headline claims.
 
-use bitrobust_core::{best_saving_within, energy_tradeoff, RandBetVariant, TrainMethod};
+use bitrobust_core::{
+    best_saving_within, energy_tradeoff, run_sweep, RandBetVariant, SweepAxis, SweepModel,
+    SweepOptions, TrainMethod,
+};
 use bitrobust_experiments::zoo::ZooSpec;
 use bitrobust_experiments::{
-    dataset_pair, p_grid_cifar, pct, pct_pm, progress_dots, rerr_sweep_streaming, zoo_model,
-    DatasetKind, ExpOptions, Table,
+    dataset_pair, p_grid_cifar, pct, pct_pm, protocol_axis, sweep_progress, zoo_model, DatasetKind,
+    ExpOptions, Table,
 };
 use bitrobust_quant::QuantScheme;
 use bitrobust_sram::{EnergyModel, VoltageErrorModel};
@@ -41,6 +44,7 @@ fn main() {
     let header_refs: Vec<&str> = header.iter().map(|s| s.as_str()).collect();
     let mut table = Table::new(&header_refs);
 
+    let axes = [SweepAxis::new("protocol", protocol_axis(&ps, opts.chips))];
     let mut best_curve: Option<(f64, Vec<(f64, f64)>)> = None;
     for (name, scheme, method) in runs {
         let mut spec = ZooSpec::new(DatasetKind::Cifar10, Some(scheme), method);
@@ -49,14 +53,15 @@ fn main() {
         let (model, report) = zoo_model(&spec, &train_ds, &test_ds, opts.no_cache);
         // Stream the campaign: one dot per (rate, chip) cell as it lands.
         eprint!("sweep {name}: ");
-        let sweep = rerr_sweep_streaming(
-            &model,
-            scheme,
+        let sweep = run_sweep(
+            &[SweepModel::new(spec.key(), scheme, &model)],
+            &axes,
             &test_ds,
-            &ps,
-            opts.chips,
-            progress_dots(ps.len() * opts.chips),
-        );
+            &SweepOptions::default(),
+            None,
+            sweep_progress(axes[0].axis.n_points()),
+        )
+        .robust(0, 0);
         let mut row = vec![name.to_string(), pct(report.clean_error as f64)];
         row.extend(sweep.iter().map(|r| pct_pm(r.mean_error as f64, r.std_error as f64)));
         table.row_owned(row);

@@ -6,12 +6,11 @@
 //! fractions), and the "ReLU relevance" measured by the activation probe.
 
 use bitrobust_core::{
-    evaluate, quantized_error_probed, redundancy_metrics, robust_eval_uniform, RandBetVariant,
-    TrainMethod, EVAL_BATCH,
+    evaluate, quantized_error_probed, redundancy_metrics, RandBetVariant, TrainMethod, EVAL_BATCH,
 };
 use bitrobust_experiments::zoo::ZooSpec;
 use bitrobust_experiments::{
-    dataset_pair, pct, zoo_model, DatasetKind, ExpOptions, Table, CHIP_SEED,
+    dataset_pair, pct, rerr_sweep, zoo_model, DatasetKind, ExpOptions, Table, CHIP_SEED,
 };
 use bitrobust_nn::Mode;
 use bitrobust_quant::QuantScheme;
@@ -49,16 +48,7 @@ fn main() {
         spec.seed = opts.seed;
         let (model, report) = zoo_model(&spec, &train_ds, &test_ds, opts.no_cache);
 
-        let robust = robust_eval_uniform(
-            &model,
-            scheme,
-            &test_ds,
-            p,
-            opts.chips,
-            CHIP_SEED,
-            EVAL_BATCH,
-            Mode::Eval,
-        );
+        let robust = rerr_sweep(&model, scheme, &test_ds, &[p], opts.chips).remove(0);
         let red = redundancy_metrics(&model, scheme, p, opts.chips.min(5), CHIP_SEED);
 
         // ReLU relevance via a probe-equipped fresh forward: rebuild the

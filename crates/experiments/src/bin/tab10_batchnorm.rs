@@ -5,10 +5,10 @@
 //! recovers much of the robustness — the accumulated running statistics
 //! are what break.
 
-use bitrobust_core::{robust_eval_uniform, NormKind, TrainMethod, EVAL_BATCH};
+use bitrobust_core::{run_sweep, NormKind, SweepAxis, SweepModel, SweepOptions, TrainMethod};
 use bitrobust_experiments::zoo::ZooSpec;
 use bitrobust_experiments::{
-    dataset_pair, pct, pct_pm, zoo_model, DatasetKind, ExpOptions, Table, CHIP_SEED,
+    dataset_pair, pct, pct_pm, protocol_axis, zoo_model, DatasetKind, ExpOptions, Table,
 };
 use bitrobust_nn::Mode;
 use bitrobust_quant::QuantScheme;
@@ -68,15 +68,13 @@ fn main() {
                 cache.len() - 1
             }
         };
-        let (_, model, clean_err) = &mut cache[idx];
-        let r: Vec<_> = ps
-            .iter()
-            .map(|&p| {
-                robust_eval_uniform(
-                    model, scheme, &test_ds, p, opts.chips, CHIP_SEED, EVAL_BATCH, mode,
-                )
-            })
-            .collect();
+        let (_, model, clean_err) = &cache[idx];
+        // Batch-statistics rows need their own inference mode, so this
+        // sweep sets it instead of going through `rerr_sweep`.
+        let models = [SweepModel::new(name.as_str(), scheme, model)];
+        let axes = [SweepAxis::new("protocol", protocol_axis(&ps, opts.chips))];
+        let sweep_opts = SweepOptions { mode, ..Default::default() };
+        let r = run_sweep(&models, &axes, &test_ds, &sweep_opts, None, |_, _| {}).robust(0, 0);
         table.row_owned(vec![
             name,
             pct(*clean_err as f64),

@@ -12,10 +12,10 @@
 //! therefore preserved, exactly as in the paper's fixed-scale GroupNorm
 //! setup.
 
-use bitrobust_core::{robust_eval_uniform, TrainMethod, EVAL_BATCH};
+use bitrobust_core::{TrainMethod, EVAL_BATCH};
 use bitrobust_experiments::zoo::ZooSpec;
 use bitrobust_experiments::{
-    dataset_pair, pct, pct_pm, zoo_model, DatasetKind, ExpOptions, Table, CHIP_SEED,
+    dataset_pair, pct, pct_pm, rerr_sweep, zoo_model, DatasetKind, ExpOptions, Table,
 };
 use bitrobust_nn::{Mode, ParamKind};
 use bitrobust_quant::QuantScheme;
@@ -72,21 +72,7 @@ fn main() {
             bitrobust_core::quantized_error(model, scheme, &test_ds, EVAL_BATCH, Mode::Eval).error
                 as f64
         };
-        let r: Vec<_> = ps
-            .iter()
-            .map(|&p| {
-                robust_eval_uniform(
-                    model,
-                    scheme,
-                    &test_ds,
-                    p,
-                    opts.chips,
-                    CHIP_SEED,
-                    EVAL_BATCH,
-                    Mode::Eval,
-                )
-            })
-            .collect();
+        let r = rerr_sweep(model, scheme, &test_ds, &ps, opts.chips);
         table.row_owned(vec![
             name.into(),
             pct(clean),

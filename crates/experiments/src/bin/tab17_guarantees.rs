@@ -6,14 +6,11 @@
 //! for the actual `(n, l)`; the paper's observation is that the empirical
 //! estimate barely moves when `l` grows, well within the bound.
 
-use bitrobust_core::{
-    deviation_bound, robust_eval_uniform, RandBetVariant, TrainMethod, EVAL_BATCH,
-};
+use bitrobust_core::{deviation_bound, RandBetVariant, TrainMethod};
 use bitrobust_experiments::zoo::ZooSpec;
 use bitrobust_experiments::{
-    dataset_pair, pct_pm, zoo_model, DatasetKind, ExpOptions, Table, CHIP_SEED,
+    dataset_pair, pct_pm, rerr_sweep, zoo_model, DatasetKind, ExpOptions, Table,
 };
-use bitrobust_nn::Mode;
 use bitrobust_quant::QuantScheme;
 
 fn main() {
@@ -40,26 +37,8 @@ fn main() {
         spec.epochs = opts.epochs(spec.epochs);
         spec.seed = opts.seed;
         let (model, _) = zoo_model(&spec, &train_ds, &test_ds, opts.no_cache);
-        let small = robust_eval_uniform(
-            &model,
-            scheme,
-            &test_ds,
-            p,
-            l_small,
-            CHIP_SEED,
-            EVAL_BATCH,
-            Mode::Eval,
-        );
-        let large = robust_eval_uniform(
-            &model,
-            scheme,
-            &test_ds,
-            p,
-            l_large,
-            CHIP_SEED,
-            EVAL_BATCH,
-            Mode::Eval,
-        );
+        let small = rerr_sweep(&model, scheme, &test_ds, &[p], l_small).remove(0);
+        let large = rerr_sweep(&model, scheme, &test_ds, &[p], l_large).remove(0);
         table.row_owned(vec![
             name.into(),
             pct_pm(small.mean_error as f64, small.std_error as f64),

@@ -5,12 +5,11 @@
 //! and reports clean Err, clean confidence, confidence under `p = 1%` bit
 //! errors, and RErr at `p ∈ {0.1%, 1%}`.
 
-use bitrobust_core::{robust_eval_uniform, TrainMethod, EVAL_BATCH};
+use bitrobust_core::TrainMethod;
 use bitrobust_experiments::zoo::ZooSpec;
 use bitrobust_experiments::{
-    dataset_pair, pct, pct_pm, zoo_model, DatasetKind, ExpOptions, Table, CHIP_SEED,
+    dataset_pair, pct, pct_pm, rerr_sweep, zoo_model, DatasetKind, ExpOptions, Table,
 };
-use bitrobust_nn::Mode;
 use bitrobust_quant::QuantScheme;
 
 fn main() {
@@ -37,26 +36,8 @@ fn main() {
         spec.epochs = opts.epochs(spec.epochs);
         spec.seed = opts.seed;
         let (model, report) = zoo_model(&spec, &train_ds, &test_ds, opts.no_cache);
-        let r_small = robust_eval_uniform(
-            &model,
-            scheme,
-            &test_ds,
-            1e-3,
-            opts.chips,
-            CHIP_SEED,
-            EVAL_BATCH,
-            Mode::Eval,
-        );
-        let r_large = robust_eval_uniform(
-            &model,
-            scheme,
-            &test_ds,
-            1e-2,
-            opts.chips,
-            CHIP_SEED,
-            EVAL_BATCH,
-            Mode::Eval,
-        );
+        let r = rerr_sweep(&model, scheme, &test_ds, &[1e-3, 1e-2], opts.chips);
+        let (r_small, r_large) = (&r[0], &r[1]);
         table.row_owned(vec![
             name,
             pct(report.clean_error as f64),

@@ -13,12 +13,10 @@
 //! it generalizes to both.
 
 use bitrobust_biterror::UniformChip;
-use bitrobust_core::{
-    robust_eval, robust_eval_uniform, PattPattern, RandBetVariant, TrainMethod, EVAL_BATCH,
-};
+use bitrobust_core::{robust_eval, PattPattern, RandBetVariant, TrainMethod, EVAL_BATCH};
 use bitrobust_experiments::zoo::ZooSpec;
 use bitrobust_experiments::{
-    dataset_pair, pct, zoo_model, DatasetKind, ExpOptions, Table, CHIP_SEED,
+    dataset_pair, pct, rerr_sweep, zoo_model, DatasetKind, ExpOptions, Table,
 };
 use bitrobust_nn::Mode;
 use bitrobust_quant::QuantScheme;
@@ -84,33 +82,14 @@ fn main() {
             Mode::Eval,
         );
         // Evaluation on unseen random patterns.
-        let rand_low = robust_eval_uniform(
-            &model,
-            scheme,
-            &test_ds,
-            p_low,
-            opts.chips,
-            CHIP_SEED,
-            EVAL_BATCH,
-            Mode::Eval,
-        );
-        let rand_train = robust_eval_uniform(
-            &model,
-            scheme,
-            &test_ds,
-            p_train,
-            opts.chips,
-            CHIP_SEED,
-            EVAL_BATCH,
-            Mode::Eval,
-        );
+        let random = rerr_sweep(&model, scheme, &test_ds, &[p_low, p_train], opts.chips);
         table.row_owned(vec![
             name,
             pct(report.clean_error as f64),
             pct(same_low.mean_error as f64),
             pct(same_train.mean_error as f64),
-            pct(rand_low.mean_error as f64),
-            pct(rand_train.mean_error as f64),
+            pct(random[0].mean_error as f64),
+            pct(random[1].mean_error as f64),
         ]);
     }
     println!(

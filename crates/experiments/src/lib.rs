@@ -1,7 +1,8 @@
 //! # bitrobust-experiments
 //!
 //! Shared infrastructure for the per-table / per-figure reproduction
-//! binaries (see `DESIGN.md` §5 for the experiment index): a disk-backed
+//! binaries (see the README section "Reproducing the paper's figures and
+//! tables" for the experiment index): a disk-backed
 //! zoo of trained models, glue for the durable sweep orchestrator
 //! ([`sweeps`]), table formatting helpers, and the common command-line
 //! options.
@@ -32,8 +33,7 @@ pub fn finish_obs() {
     }
 }
 pub use protocol::{
-    p_grid_cifar, p_grid_cifar100, p_grid_mnist, progress_dots, protocol_axis, rerr_sweep,
-    rerr_sweep_streaming, CHIP_SEED,
+    p_grid_cifar, p_grid_cifar100, p_grid_mnist, protocol_axis, rerr_sweep, CHIP_SEED,
 };
 pub use sweeps::{open_sweep_store, sweep_dir, sweep_models, sweep_progress};
 pub use table::{pct, pct_pm, Table};

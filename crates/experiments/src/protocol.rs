@@ -2,9 +2,9 @@
 //! grids, so every experiment binary measures RErr on the *same* simulated
 //! chips (as the paper fixes its 50 error patterns across all models).
 
-use bitrobust_core::{run_axis, run_axis_streaming, ChipAxis, EvalResult, RobustEval, EVAL_BATCH};
+use bitrobust_core::{run_sweep, ChipAxis, RobustEval, SweepAxis, SweepModel, SweepOptions};
 use bitrobust_data::Dataset;
-use bitrobust_nn::{Mode, Model};
+use bitrobust_nn::Model;
 use bitrobust_quant::QuantScheme;
 
 /// Base seed for the shared evaluation chips.
@@ -36,11 +36,11 @@ pub fn p_grid_mnist() -> Vec<f64> {
 
 /// Evaluates RErr on the shared chips for every rate in `ps`.
 ///
-/// The whole sweep runs as **one** fault-injection campaign over the
-/// shared [`protocol_axis`] ([`bitrobust_core::run_axis`]): all
-/// `ps.len() x chips` patterns fan out over the thread pool together,
-/// instead of nested serial loops. Per-chip errors are bit-identical to
-/// calling `robust_eval_uniform` per rate.
+/// The whole sweep runs as **one** fault-injection campaign: a one-model
+/// [`bitrobust_core::run_sweep`] over the shared [`protocol_axis`], so all
+/// `ps.len() x chips` patterns fan out over the thread pool together.
+/// Per-chip errors are bit-identical to calling `robust_eval_uniform` per
+/// rate.
 pub fn rerr_sweep(
     model: &Model,
     scheme: QuantScheme,
@@ -48,57 +48,17 @@ pub fn rerr_sweep(
     ps: &[f64],
     chips: usize,
 ) -> Vec<RobustEval> {
-    run_axis(model, &[scheme], &protocol_axis(ps, chips), test_ds, EVAL_BATCH, Mode::Eval).remove(0)
-}
-
-/// [`rerr_sweep`] with per-cell progress: `on_cell(rate_index, chip_index,
-/// result)` fires — in rate-major, then chip order — as each cell's wave of
-/// the streaming campaign ([`bitrobust_core::run_axis_streaming`]) lands.
-/// The returned sweep is byte-identical to [`rerr_sweep`]'s; long-running
-/// experiment binaries use the callback for progress output.
-pub fn rerr_sweep_streaming(
-    model: &Model,
-    scheme: QuantScheme,
-    test_ds: &Dataset,
-    ps: &[f64],
-    chips: usize,
-    mut on_cell: impl FnMut(usize, usize, &EvalResult),
-) -> Vec<RobustEval> {
-    run_axis_streaming(
-        model,
-        &[scheme],
-        &protocol_axis(ps, chips),
-        test_ds,
-        EVAL_BATCH,
-        Mode::Eval,
-        |cell, result| on_cell(cell.group, cell.point, result),
-    )
-    .remove(0)
-}
-
-/// Writes one progress dot per completed campaign cell to stderr, with a
-/// newline after the final cell — the shared progress style of the
-/// long-running experiment binaries ([`rerr_sweep_streaming`]'s usual
-/// `on_cell`).
-pub fn progress_dots(total_cells: usize) -> impl FnMut(usize, usize, &EvalResult) {
-    use std::io::Write;
-    let mut done = 0usize;
-    move |_rate, _chip, _result| {
-        done += 1;
-        let mut err = std::io::stderr();
-        let _ = write!(err, ".");
-        if done == total_cells {
-            let _ = writeln!(err);
-        }
-        let _ = err.flush();
-    }
+    let models = [SweepModel::new("model", scheme, model)];
+    let axes = [SweepAxis::new("protocol", protocol_axis(ps, chips))];
+    run_sweep(&models, &axes, test_ds, &SweepOptions::default(), None, |_, _| {}).robust(0, 0)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bitrobust_core::{build, ArchKind, NormKind};
+    use bitrobust_core::{build, robust_eval_uniform, ArchKind, NormKind, EVAL_BATCH};
     use bitrobust_data::SynthDataset;
+    use bitrobust_nn::Mode;
     use rand::SeedableRng;
 
     #[test]
@@ -118,27 +78,29 @@ mod tests {
         assert_eq!(axis.n_points(), ps.len() * 7);
     }
 
+    /// Every binary that sweeps rates through [`rerr_sweep`] relies on
+    /// this: each rate's entry is the per-rate protocol evaluation.
     #[test]
-    fn streaming_sweep_matches_batch_and_covers_every_cell_in_order() {
+    fn rerr_sweep_matches_per_rate_evaluation() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(0);
         let model = build(ArchKind::Mlp, [1, 14, 14], 10, NormKind::Group, &mut rng).model;
         let (_, test_ds) = SynthDataset::Mnist.generate(0);
-        let ps = [0.001, 0.01];
-        let chips = 3;
+        let (scheme, ps, chips) = (QuantScheme::rquant(8), [0.001, 0.01], 3);
 
-        let batch = rerr_sweep(&model, QuantScheme::rquant(8), &test_ds, &ps, chips);
-        let mut seen = Vec::new();
-        let streamed = rerr_sweep_streaming(
-            &model,
-            QuantScheme::rquant(8),
-            &test_ds,
-            &ps,
-            chips,
-            |r, c, _| seen.push((r, c)),
-        );
-        assert_eq!(batch, streamed, "streaming must not change results");
-        let expected: Vec<(usize, usize)> =
-            (0..ps.len()).flat_map(|r| (0..chips).map(move |c| (r, c))).collect();
-        assert_eq!(seen, expected, "every cell must stream exactly once, in order");
+        let sweep = rerr_sweep(&model, scheme, &test_ds, &ps, chips);
+        assert_eq!(sweep.len(), ps.len());
+        for (&p, swept) in ps.iter().zip(&sweep) {
+            let alone = robust_eval_uniform(
+                &model,
+                scheme,
+                &test_ds,
+                p,
+                chips,
+                CHIP_SEED,
+                EVAL_BATCH,
+                Mode::Eval,
+            );
+            assert_eq!(swept, &alone, "rate {p}");
+        }
     }
 }
