@@ -9,17 +9,18 @@
 //!   stack on 16×16 inputs (`matmul`): early layers are wide-and-shallow
 //!   (large `oh*ow`, small K), late layers deep-and-narrow.
 //!
-//! Besides the criterion benchmarks, running this bench writes
-//! `BENCH_gemm.json` at the workspace root with naive vs packed GFLOP/s per
-//! shape. CI uploads it and fails the build if the packed kernel loses its
-//! edge (graded floors, relaxed on 1-thread runners like the other gates).
+//! Running this bench writes `BENCH_gemm.json` at the workspace root with
+//! naive vs packed GFLOP/s per shape. CI uploads it and fails the build if
+//! the packed kernel loses its edge (graded floors, relaxed on 1-thread
+//! runners like the other gates).
 
 use std::time::Instant;
 
+use bitrobust_bench::{best_of, json_str, object, write_bench_json};
+use bitrobust_tensor::gemm::{KC, MC, MR, NC, NR};
 use bitrobust_tensor::{
     matmul, matmul_nt, matmul_nt_reference, matmul_reference, transpose, Tensor,
 };
-use criterion::{criterion_group, Criterion};
 use rand::SeedableRng;
 
 /// Which kernel pair a shape exercises.
@@ -73,37 +74,6 @@ fn run_naive(s: &Shape, a: &Tensor, b: &Tensor) -> Tensor {
     }
 }
 
-fn bench_gemm(c: &mut Criterion) {
-    let mut group = c.benchmark_group("gemm");
-    group.sample_size(20);
-    for s in SHAPES {
-        let (a, b) = operands(s);
-        group.bench_function(format!("packed_{}", s.name), |bch| {
-            bch.iter(|| run_packed(s, std::hint::black_box(&a), std::hint::black_box(&b)))
-        });
-        group.bench_function(format!("naive_{}", s.name), |bch| {
-            bch.iter(|| run_naive(s, std::hint::black_box(&a), std::hint::black_box(&b)))
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_gemm);
-
-/// Best-of-`reps` wall-clock seconds for `f`, with enough inner iterations
-/// to dodge timer granularity on these sub-millisecond kernels.
-fn best_of<F: FnMut()>(mut f: F, iters: usize, reps: usize) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let start = Instant::now();
-        for _ in 0..iters {
-            f();
-        }
-        best = best.min(start.elapsed().as_secs_f64() / iters as f64);
-    }
-    best
-}
-
 /// What the *disabled* obs instrumentation costs relative to the packed
 /// kernel: times a burst of off-level `span!` + `counter_add` calls
 /// (each a relaxed atomic load and a branch) and scales by the number of
@@ -119,13 +89,11 @@ fn obs_off_overhead_pct(packed_secs: f64, s: &Shape) -> f64 {
         bitrobust_obs::counter_add("bench.obs_off_probe", std::hint::black_box(1));
     }
     let per_call_site = start.elapsed().as_secs_f64() / OPS as f64;
-    let pack_spans =
-        s.k.div_ceil(bitrobust_tensor::gemm::KC) * s.n.div_ceil(bitrobust_tensor::gemm::NC);
+    let pack_spans = s.k.div_ceil(KC) * s.n.div_ceil(NC);
     per_call_site * (1 + pack_spans) as f64 / packed_secs * 100.0
 }
 
-fn emit_json_comparison() {
-    let threads = bitrobust_tensor::pool_parallelism();
+fn main() {
     let mut rows = Vec::new();
     let mut fc_speedup = f64::NAN;
     let mut fc_packed_secs = f64::NAN;
@@ -157,8 +125,8 @@ fn emit_json_comparison() {
 
         let flops = 2.0 * s.m as f64 * s.k as f64 * s.n as f64;
         let iters = (2e7 / flops).clamp(1.0, 500.0) as usize;
-        let naive_secs = best_of(|| drop(run_naive(s, &a, &b)), iters, 5);
-        let packed_secs = best_of(|| drop(run_packed(s, &a, &b)), iters, 5);
+        let naive_secs = best_of(5, iters, || drop(run_naive(s, &a, &b)));
+        let packed_secs = best_of(5, iters, || drop(run_packed(s, &a, &b)));
         let (naive_gflops, packed_gflops) = (flops / naive_secs / 1e9, flops / packed_secs / 1e9);
         let speedup = naive_secs / packed_secs;
         if s.name == "fc_head" {
@@ -171,53 +139,40 @@ fn emit_json_comparison() {
             "{:>11} [{:>3}x{:>3}x{:>3}] naive {:6.2} GFLOP/s  packed {:6.2} GFLOP/s  ({:.2}x)",
             s.name, s.m, s.k, s.n, naive_gflops, packed_gflops, speedup
         );
-        rows.push(format!(
-            "    {{\"name\": \"{}\", \"variant\": \"{}\", \"m\": {}, \"k\": {}, \"n\": {}, \
-             \"naive_secs\": {:.9}, \"packed_secs\": {:.9}, \"naive_gflops\": {:.3}, \
-             \"packed_gflops\": {:.3}, \"speedup\": {:.3}}}",
-            s.name,
-            match s.variant {
-                Variant::Nn => "nn",
-                Variant::Nt => "nt",
-            },
-            s.m,
-            s.k,
-            s.n,
-            naive_secs,
-            packed_secs,
-            naive_gflops,
-            packed_gflops,
-            speedup
-        ));
+        let variant = match s.variant {
+            Variant::Nn => "nn",
+            Variant::Nt => "nt",
+        };
+        rows.push(object(&[
+            ("name", json_str(s.name)),
+            ("variant", json_str(variant)),
+            ("m", s.m.to_string()),
+            ("k", s.k.to_string()),
+            ("n", s.n.to_string()),
+            ("naive_secs", format!("{naive_secs:.9}")),
+            ("packed_secs", format!("{packed_secs:.9}")),
+            ("naive_gflops", format!("{naive_gflops:.3}")),
+            ("packed_gflops", format!("{packed_gflops:.3}")),
+            ("speedup", format!("{speedup:.3}")),
+        ]));
     }
 
     let fc_shape = SHAPES.iter().find(|s| s.name == "fc_head").expect("fc_head shape");
     let obs_overhead = obs_off_overhead_pct(fc_packed_secs, fc_shape);
     println!("obs-off overhead on fc_head packed kernel: {obs_overhead:.4}%");
 
-    let json = format!(
-        "{{\n  \"bench\": \"gemm\",\n  \"threads\": {},\n  \"tile\": {{\"mr\": {}, \"nr\": {}, \
-         \"mc\": {}, \"kc\": {}, \"nc\": {}}},\n  \"shapes\": [\n{}\n  ],\n  \
-         \"fc_speedup\": {:.3},\n  \"conv_min_speedup\": {:.3},\n  \
-         \"obs_off_overhead_pct\": {:.4},\n  \
-         \"packed_matches_reference\": true\n}}\n",
-        threads,
-        bitrobust_tensor::gemm::MR,
-        bitrobust_tensor::gemm::NR,
-        bitrobust_tensor::gemm::MC,
-        bitrobust_tensor::gemm::KC,
-        bitrobust_tensor::gemm::NC,
-        rows.join(",\n"),
-        fc_speedup,
-        conv_min_speedup,
-        obs_overhead,
+    let tile = [("mr", MR), ("nr", NR), ("mc", MC), ("kc", KC), ("nc", NC)];
+    write_bench_json(
+        "gemm",
+        &[
+            ("bench", json_str("gemm")),
+            ("threads", bitrobust_tensor::pool_parallelism().to_string()),
+            ("tile", object(&tile.map(|(k, v)| (k, v.to_string())))),
+            ("shapes", format!("[{}]", rows.join(", "))),
+            ("fc_speedup", format!("{fc_speedup:.3}")),
+            ("conv_min_speedup", format!("{conv_min_speedup:.3}")),
+            ("obs_off_overhead_pct", format!("{obs_overhead:.4}")),
+            ("packed_matches_reference", "true".to_string()),
+        ],
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_gemm.json");
-    std::fs::write(path, &json).expect("write BENCH_gemm.json");
-    println!("naive vs packed comparison written to {path}:\n{json}");
-}
-
-fn main() {
-    benches();
-    emit_json_comparison();
 }

@@ -5,26 +5,23 @@
 //! single-model vs data-parallel RandBET training, and one `run_sweep`
 //! per model vs one orchestrated multi-model sweep.
 //!
-//! Besides the criterion benchmarks, running this bench writes a
-//! machine-readable `BENCH_robust_eval.json` at the workspace root with
-//! serial vs parallel wall-clock and the resulting speedups. CI uploads
-//! the file as an artifact and **fails the build if the campaign path or
-//! data-parallel training regresses to slower than serial** on multi-core
-//! runners (`speedup < 1.0`), with a graded floor for the orchestrated
-//! sweep (its baseline is already parallel).
+//! Running this bench writes a machine-readable `BENCH_robust_eval.json`
+//! at the workspace root with serial vs parallel wall-clock and the
+//! resulting speedups. CI uploads the file as an artifact and **fails the
+//! build if the campaign path or data-parallel training regresses to slower
+//! than serial** on multi-core runners (`speedup < 1.0`), with a graded
+//! floor for the orchestrated sweep (its baseline is already parallel).
 
-use std::time::Instant;
-
+use bitrobust_bench::{best_of, json_str, write_bench_json};
 use bitrobust_biterror::UniformChip;
 use bitrobust_core::{
-    build, evaluate, evaluate_serial, robust_eval_uniform, run_sweep, train, ArchKind, Campaign,
-    ChipAxis, DataParallel, NormKind, QuantizedModel, RandBetVariant, RobustEval, SweepAxis,
-    SweepModel, SweepOptions, TrainConfig, TrainMethod, TrainReport,
+    build, evaluate, evaluate_serial, run_sweep, train, ArchKind, Campaign, ChipAxis, DataParallel,
+    NormKind, QuantizedModel, RandBetVariant, RobustEval, SweepAxis, SweepModel, SweepOptions,
+    TrainConfig, TrainMethod, TrainReport,
 };
 use bitrobust_data::{AugmentConfig, Dataset, SynthDataset};
 use bitrobust_nn::{Mode, Model};
 use bitrobust_quant::QuantScheme;
-use criterion::{criterion_group, Criterion};
 use rand::SeedableRng;
 
 const N_CHIPS: usize = 8;
@@ -113,72 +110,10 @@ fn chip_images(model: &Model) -> Vec<QuantizedModel> {
         .collect()
 }
 
-fn bench_robust_eval(c: &mut Criterion) {
-    let (model, test_ds) = setup();
-    let images = chip_images(&model);
-
-    let mut group = c.benchmark_group("robust_eval");
-    group.sample_size(10);
-    group.bench_function("serial_8chip_1000ex", |b| {
-        b.iter(|| Campaign::new(&model, &test_ds).batch_size(BATCH).serial().run(&images))
-    });
-    group.bench_function("campaign_8chip_1000ex", |b| {
-        b.iter(|| Campaign::new(&model, &test_ds).batch_size(BATCH).run(&images))
-    });
-    group.bench_function("clean_serial_1000ex", |b| {
-        b.iter(|| evaluate_serial(&model, &test_ds, BATCH, Mode::Eval))
-    });
-    group.bench_function("clean_campaign_1000ex", |b| {
-        b.iter(|| evaluate(&model, &test_ds, BATCH, Mode::Eval))
-    });
-    group.bench_function("wrapper_1chip_1000ex", |b| {
-        b.iter(|| {
-            robust_eval_uniform(
-                &model,
-                QuantScheme::rquant(8),
-                &test_ds,
-                RATE,
-                1,
-                42,
-                BATCH,
-                Mode::Eval,
-            )
-        })
-    });
-    group.bench_function("quantize_model", |b| {
-        b.iter(|| QuantizedModel::quantize(&model, QuantScheme::rquant(8)))
-    });
-    group.bench_function("train_serial_2ep_600ex", |b| b.iter(|| train_once(None)));
-    group.bench_function("train_parallel_2ep_600ex", |b| {
-        b.iter(|| train_once(Some(DataParallel::protocol())))
-    });
-    let (models, rates, sweep_ds) = sweep_setup();
-    group.bench_function("per_model_grids_2model", |b| {
-        b.iter(|| per_model_grids(&models, &rates, &sweep_ds))
-    });
-    group.bench_function("orchestrated_sweep_2model", |b| {
-        b.iter(|| orchestrated_sweep(&models, &rates, &sweep_ds))
-    });
-    group.finish();
-}
-
-criterion_group!(benches, bench_robust_eval);
-
-/// Best-of-`reps` wall-clock seconds for `f`.
-fn best_of<F: FnMut()>(mut f: F, reps: usize) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let start = Instant::now();
-        f();
-        best = best.min(start.elapsed().as_secs_f64());
-    }
-    best
-}
-
 /// Measures serial vs parallel throughput (robust evaluation, clean
 /// evaluation, and single-model vs data-parallel training) and writes the
 /// comparison to `BENCH_robust_eval.json` at the workspace root.
-fn emit_json_comparison() {
+fn main() {
     let (model, test_ds) = setup();
     let images = chip_images(&model);
 
@@ -204,26 +139,19 @@ fn emit_json_comparison() {
     );
 
     let reps = 3;
-    let serial_secs = best_of(
-        || drop(Campaign::new(&model, &test_ds).batch_size(BATCH).serial().run(&images)),
-        reps,
-    );
+    let serial_secs = best_of(reps, 1, || {
+        drop(Campaign::new(&model, &test_ds).batch_size(BATCH).serial().run(&images))
+    });
     let campaign_secs =
-        best_of(|| drop(Campaign::new(&model, &test_ds).batch_size(BATCH).run(&images)), reps);
-    let clean_serial_secs = best_of(
-        || {
-            evaluate_serial(&model, &test_ds, BATCH, Mode::Eval);
-        },
-        reps,
-    );
-    let clean_campaign_secs = best_of(
-        || {
-            evaluate(&model, &test_ds, BATCH, Mode::Eval);
-        },
-        reps,
-    );
-    let train_serial_secs = best_of(|| drop(train_once(None)), reps);
-    let train_parallel_secs = best_of(|| drop(train_once(Some(DataParallel::protocol()))), reps);
+        best_of(reps, 1, || drop(Campaign::new(&model, &test_ds).batch_size(BATCH).run(&images)));
+    let clean_serial_secs = best_of(reps, 1, || {
+        evaluate_serial(&model, &test_ds, BATCH, Mode::Eval);
+    });
+    let clean_campaign_secs = best_of(reps, 1, || {
+        evaluate(&model, &test_ds, BATCH, Mode::Eval);
+    });
+    let train_serial_secs = best_of(reps, 1, || drop(train_once(None)));
+    let train_parallel_secs = best_of(reps, 1, || drop(train_once(Some(DataParallel::protocol()))));
 
     // Orchestrated multi-model sweep vs sequential per-model grids: the
     // cells must be byte-identical, the fused fan-out at least as fast.
@@ -235,9 +163,9 @@ fn emit_json_comparison() {
         "orchestrated sweep must be bit-identical to per-model grids"
     );
     let per_model_secs =
-        best_of(|| drop(per_model_grids(&sweep_models, &sweep_rates, &sweep_ds)), reps);
+        best_of(reps, 1, || drop(per_model_grids(&sweep_models, &sweep_rates, &sweep_ds)));
     let sweep_secs =
-        best_of(|| drop(orchestrated_sweep(&sweep_models, &sweep_rates, &sweep_ds)), reps);
+        best_of(reps, 1, || drop(orchestrated_sweep(&sweep_models, &sweep_rates, &sweep_ds)));
 
     // `threads` is the pool's *own* accounting of what it actually used
     // (`pool_parallelism()`), not the raw environment request:
@@ -246,50 +174,37 @@ fn emit_json_comparison() {
     // `threads_env` records the raw request (or null) so a `threads: 1`
     // row on a multi-core runner is attributable to its override instead
     // of reading like a regression.
-    let threads = bitrobust_tensor::pool_parallelism();
-    let threads_env = std::env::var("BITROBUST_THREADS")
-        .map(|v| format!("\"{}\"", v.replace(['"', '\\'], "_")))
-        .unwrap_or_else(|_| "null".to_string());
-    let json = format!(
-        "{{\n  \"bench\": \"robust_eval\",\n  \"arch\": \"mlp\",\n  \"dataset\": \"{}\",\n  \
-         \"examples\": {},\n  \"n_chips\": {},\n  \"rate\": {},\n  \"batch_size\": {},\n  \
-         \"threads\": {},\n  \"threads_env\": {},\n  \
-         \"serial_secs\": {:.6},\n  \"campaign_secs\": {:.6},\n  \
-         \"speedup\": {:.3},\n  \"clean_serial_secs\": {:.6},\n  \
-         \"clean_campaign_secs\": {:.6},\n  \"clean_speedup\": {:.3},\n  \
-         \"train_serial_secs\": {:.6},\n  \"train_parallel_secs\": {:.6},\n  \
-         \"train_speedup\": {:.3},\n  \"train_shards\": {},\n  \
-         \"sweep_models\": {},\n  \"per_model_secs\": {:.6},\n  \
-         \"sweep_secs\": {:.6},\n  \"sweep_speedup\": {:.3},\n  \
-         \"bit_identical\": true\n}}\n",
-        test_ds.name(),
-        test_ds.len(),
-        N_CHIPS,
-        RATE,
-        BATCH,
-        threads,
-        threads_env,
-        serial_secs,
-        campaign_secs,
-        serial_secs / campaign_secs,
-        clean_serial_secs,
-        clean_campaign_secs,
-        clean_serial_secs / clean_campaign_secs,
-        train_serial_secs,
-        train_parallel_secs,
-        train_serial_secs / train_parallel_secs,
-        bitrobust_core::TRAIN_SHARDS,
-        SWEEP_MODELS,
-        per_model_secs,
-        sweep_secs,
-        per_model_secs / sweep_secs,
+    let threads_env = std::env::var(bitrobust_tensor::THREADS_ENV)
+        .map_or_else(|_| "null".to_string(), |v| json_str(&v));
+    let secs = |x: f64| format!("{x:.6}");
+    let ratio = |x: f64| format!("{x:.3}");
+    write_bench_json(
+        "robust_eval",
+        &[
+            ("bench", json_str("robust_eval")),
+            ("arch", json_str("mlp")),
+            ("dataset", json_str(test_ds.name())),
+            ("examples", test_ds.len().to_string()),
+            ("n_chips", N_CHIPS.to_string()),
+            ("rate", RATE.to_string()),
+            ("batch_size", BATCH.to_string()),
+            ("threads", bitrobust_tensor::pool_parallelism().to_string()),
+            ("threads_env", threads_env),
+            ("serial_secs", secs(serial_secs)),
+            ("campaign_secs", secs(campaign_secs)),
+            ("speedup", ratio(serial_secs / campaign_secs)),
+            ("clean_serial_secs", secs(clean_serial_secs)),
+            ("clean_campaign_secs", secs(clean_campaign_secs)),
+            ("clean_speedup", ratio(clean_serial_secs / clean_campaign_secs)),
+            ("train_serial_secs", secs(train_serial_secs)),
+            ("train_parallel_secs", secs(train_parallel_secs)),
+            ("train_speedup", ratio(train_serial_secs / train_parallel_secs)),
+            ("train_shards", bitrobust_core::TRAIN_SHARDS.to_string()),
+            ("sweep_models", SWEEP_MODELS.to_string()),
+            ("per_model_secs", secs(per_model_secs)),
+            ("sweep_secs", secs(sweep_secs)),
+            ("sweep_speedup", ratio(per_model_secs / sweep_secs)),
+            ("bit_identical", "true".to_string()),
+        ],
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_robust_eval.json");
-    std::fs::write(path, &json).expect("write BENCH_robust_eval.json");
-    println!("serial vs campaign comparison written to {path}:\n{json}");
-}
-
-fn main() {
-    benches();
-    emit_json_comparison();
 }

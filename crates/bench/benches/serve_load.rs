@@ -15,6 +15,7 @@ use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use bitrobust_bench::{json_str, write_bench_json};
 use bitrobust_core::{build, ArchKind, NormKind};
 use bitrobust_data::SynthDataset;
 use bitrobust_serve::{
@@ -150,31 +151,26 @@ fn main() {
     assert_eq!(stats.completed + stats.shed, stats.submitted, "no request may be silently dropped");
     assert_eq!(latencies.len() as u64, stats.completed);
 
-    let requests = (CLIENTS * REQUESTS_PER_CLIENT) as u64;
-    let rps = stats.completed as f64 / elapsed;
-    let threads = bitrobust_tensor::pool_parallelism();
-    let json = format!(
-        "{{\n  \"bench\": \"serve_load\",\n  \"arch\": \"mlp\",\n  \"clients\": {},\n  \
-         \"requests\": {},\n  \"completed\": {},\n  \"shed\": {},\n  \"queue_capacity\": {},\n  \
-         \"max_batch\": {},\n  \"max_delay_ms\": {:.3},\n  \"threads\": {},\n  \
-         \"elapsed_secs\": {:.6},\n  \"requests_per_sec\": {:.1},\n  \"p50_ms\": {:.3},\n  \
-         \"p99_ms\": {:.3},\n  \"bit_identical\": true\n}}\n",
-        CLIENTS,
-        requests,
-        stats.completed,
-        stats.shed,
-        CONFIG.queue_capacity,
-        CONFIG.max_batch,
-        CONFIG.max_delay.as_secs_f64() * 1e3,
-        threads,
-        elapsed,
-        rps,
-        percentile_ms(&latencies, 50.0),
-        percentile_ms(&latencies, 99.0),
+    write_bench_json(
+        "serve",
+        &[
+            ("bench", json_str("serve_load")),
+            ("arch", json_str("mlp")),
+            ("clients", CLIENTS.to_string()),
+            ("requests", (CLIENTS * REQUESTS_PER_CLIENT).to_string()),
+            ("completed", stats.completed.to_string()),
+            ("shed", stats.shed.to_string()),
+            ("queue_capacity", CONFIG.queue_capacity.to_string()),
+            ("max_batch", CONFIG.max_batch.to_string()),
+            ("max_delay_ms", format!("{:.3}", CONFIG.max_delay.as_secs_f64() * 1e3)),
+            ("threads", bitrobust_tensor::pool_parallelism().to_string()),
+            ("elapsed_secs", format!("{elapsed:.6}")),
+            ("requests_per_sec", format!("{:.1}", stats.completed as f64 / elapsed)),
+            ("p50_ms", format!("{:.3}", percentile_ms(&latencies, 50.0))),
+            ("p99_ms", format!("{:.3}", percentile_ms(&latencies, 99.0))),
+            ("bit_identical", "true".to_string()),
+        ],
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serve.json");
-    std::fs::write(path, &json).expect("write BENCH_serve.json");
-    println!("serve load comparison written to {path}:\n{json}");
     for written in bitrobust_obs::finish().expect("write obs output") {
         println!("obs output written to {}", written.display());
     }

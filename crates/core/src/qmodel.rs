@@ -3,7 +3,6 @@
 use bitrobust_biterror::ErrorInjector;
 use bitrobust_nn::Model;
 use bitrobust_quant::{Granularity, QuantRange, QuantScheme, QuantizedTensor};
-use bitrobust_tensor::Tensor;
 
 /// The quantized image of a model's parameters: one [`QuantizedTensor`] per
 /// parameter tensor plus each tensor's word offset in the network's global,
@@ -156,15 +155,6 @@ impl QuantizedModel {
             index += 1;
         });
         assert_eq!(index, self.tensors.len(), "model has fewer parameters than snapshot");
-    }
-
-    /// Dequantizes all tensors into fresh buffers (for analysis).
-    pub fn dequantize_tensors(&self) -> Vec<Tensor> {
-        self.tensors
-            .iter()
-            .zip(&self.shapes)
-            .map(|(q, shape)| Tensor::from_vec(shape.clone(), q.dequantize()))
-            .collect()
     }
 
     /// Total number of differing live bits vs another snapshot (diagnostic).

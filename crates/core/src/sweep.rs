@@ -182,11 +182,6 @@ impl SweepResults {
         self.cells.len().checked_div(self.model_stride).unwrap_or(0)
     }
 
-    /// Number of axes.
-    pub fn n_axes(&self) -> usize {
-        self.axis_dims.len()
-    }
-
     /// All cells, model-major, then axis, then group, then point.
     pub fn cells(&self) -> &[EvalResult] {
         &self.cells

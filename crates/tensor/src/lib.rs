@@ -43,8 +43,7 @@ mod tensor;
 
 pub use gemm::GemmOperand;
 pub use ops::{
-    dot, matmul, matmul_accumulate, matmul_into, matmul_nt, matmul_nt_accumulate, matmul_nt_into,
-    matmul_nt_reference, matmul_reference, matmul_tn, matmul_tn_accumulate, matmul_tn_into,
+    matmul, matmul_nt, matmul_nt_reference, matmul_reference, matmul_tn, matmul_tn_accumulate,
     matmul_tn_reference, softmax_rows, transpose,
 };
 pub use pool::{

@@ -17,8 +17,9 @@
 //! the packed kernel.
 //!
 //! Batch-level parallelism lives in the layer implementations (see
-//! `bitrobust-nn`), so these kernels stay single-threaded and allocation-free
-//! via the `*_into` forms.
+//! `bitrobust-nn`), so these kernels stay single-threaded. Layers that write
+//! into existing buffers call [`crate::gemm::gemm`] or
+//! [`matmul_tn_accumulate`] directly.
 
 use crate::gemm::{gemm, GemmOperand};
 use crate::Tensor;
@@ -29,35 +30,18 @@ use crate::Tensor;
 ///
 /// Panics if the operands are not 2-D or the inner dimensions differ.
 pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
-    let (m, _k, n) = mm_dims(a, b);
-    let mut c = Tensor::zeros(&[m, n]);
-    matmul_into(&mut c, a, b);
-    c
-}
-
-/// `C = A·B`, writing into a pre-allocated `c` (overwritten, not accumulated).
-///
-/// # Panics
-///
-/// Panics on any shape mismatch between `c`, `a`, and `b`.
-pub fn matmul_into(c: &mut Tensor, a: &Tensor, b: &Tensor) {
     let (m, k, n) = mm_dims(a, b);
-    assert_eq!(c.shape(), &[m, n], "output shape mismatch");
-    c.fill(0.0);
-    matmul_accumulate(c.data_mut(), a.data(), b.data(), m, k, n);
-}
-
-/// `c += A·B` on raw row-major buffers. Exposed for layer kernels that
-/// operate on sub-slices of batched tensors.
-///
-/// # Panics
-///
-/// Panics if the buffer lengths do not match `m*k`, `k*n`, `m*n`.
-pub fn matmul_accumulate(c: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
-    assert_eq!(a.len(), m * k, "lhs buffer length");
-    assert_eq!(b.len(), k * n, "rhs buffer length");
-    assert_eq!(c.len(), m * n, "out buffer length");
-    gemm(c, n, GemmOperand::row_major(a, k), GemmOperand::row_major(b, n), m, k, n);
+    let mut c = Tensor::zeros(&[m, n]);
+    gemm(
+        c.data_mut(),
+        n,
+        GemmOperand::row_major(a.data(), k),
+        GemmOperand::row_major(b.data(), n),
+        m,
+        k,
+        n,
+    );
+    c
 }
 
 /// `C = A·Bᵀ` with `A: [M,K]`, `B: [N,K]`.
@@ -66,36 +50,19 @@ pub fn matmul_accumulate(c: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize
 ///
 /// Panics if the operands are not 2-D or the K dimensions differ.
 pub fn matmul_nt(a: &Tensor, b: &Tensor) -> Tensor {
-    let (m, _k, n) = nt_dims(a, b);
-    let mut c = Tensor::zeros(&[m, n]);
-    matmul_nt_into(&mut c, a, b);
-    c
-}
-
-/// `C = A·Bᵀ`, writing into a pre-allocated `c` (overwritten, not
-/// accumulated).
-///
-/// # Panics
-///
-/// Panics on any shape mismatch between `c`, `a`, and `b`.
-pub fn matmul_nt_into(c: &mut Tensor, a: &Tensor, b: &Tensor) {
     let (m, k, n) = nt_dims(a, b);
-    assert_eq!(c.shape(), &[m, n], "output shape mismatch");
-    c.fill(0.0);
-    matmul_nt_accumulate(c.data_mut(), a.data(), b.data(), m, k, n);
-}
-
-/// `c += A·Bᵀ` on raw buffers; see [`matmul_nt`].
-///
-/// # Panics
-///
-/// Panics if the buffer lengths do not match `m*k`, `n*k`, `m*n`.
-pub fn matmul_nt_accumulate(c: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
-    assert_eq!(a.len(), m * k, "lhs buffer length");
-    assert_eq!(b.len(), n * k, "rhs buffer length");
-    assert_eq!(c.len(), m * n, "out buffer length");
+    let mut c = Tensor::zeros(&[m, n]);
     // B is stored [N, K]; the packed kernel reads it as its transpose [K, N].
-    gemm(c, n, GemmOperand::row_major(a, k), GemmOperand::transposed(b, k), m, k, n);
+    gemm(
+        c.data_mut(),
+        n,
+        GemmOperand::row_major(a.data(), k),
+        GemmOperand::transposed(b.data(), k),
+        m,
+        k,
+        n,
+    );
+    c
 }
 
 /// `C = Aᵀ·B` with `A: [K,M]`, `B: [K,N]`.
@@ -104,23 +71,10 @@ pub fn matmul_nt_accumulate(c: &mut [f32], a: &[f32], b: &[f32], m: usize, k: us
 ///
 /// Panics if the operands are not 2-D or the K dimensions differ.
 pub fn matmul_tn(a: &Tensor, b: &Tensor) -> Tensor {
-    let (m, _k, n) = tn_dims(a, b);
-    let mut c = Tensor::zeros(&[m, n]);
-    matmul_tn_into(&mut c, a, b);
-    c
-}
-
-/// `C = Aᵀ·B`, writing into a pre-allocated `c` (overwritten, not
-/// accumulated).
-///
-/// # Panics
-///
-/// Panics on any shape mismatch between `c`, `a`, and `b`.
-pub fn matmul_tn_into(c: &mut Tensor, a: &Tensor, b: &Tensor) {
     let (m, k, n) = tn_dims(a, b);
-    assert_eq!(c.shape(), &[m, n], "output shape mismatch");
-    c.fill(0.0);
+    let mut c = Tensor::zeros(&[m, n]);
     matmul_tn_accumulate(c.data_mut(), a.data(), b.data(), m, k, n);
+    c
 }
 
 /// `c += Aᵀ·B` on raw buffers; see [`matmul_tn`].
@@ -208,12 +162,9 @@ pub fn matmul_tn_reference(a: &Tensor, b: &Tensor) -> Tensor {
     c
 }
 
-/// Dot product of two equal-length slices.
-///
-/// # Panics
-///
-/// Panics if the lengths differ.
-pub fn dot(a: &[f32], b: &[f32]) -> f32 {
+/// Dot product of two equal-length slices: the inner loop of
+/// [`matmul_nt_reference`].
+fn dot(a: &[f32], b: &[f32]) -> f32 {
     assert_eq!(a.len(), b.len(), "dot length mismatch");
     // Four-way unrolled accumulation: keeps the FP dependency chain short so
     // LLVM vectorizes without -ffast-math.
@@ -372,21 +323,6 @@ mod tests {
         let a = Tensor::rand_uniform(&[11, 6], -1.0, 1.0, &mut rng);
         let b = Tensor::rand_uniform(&[11, 9], -1.0, 1.0, &mut rng);
         assert_close(&matmul_tn(&a, &b), &matmul(&transpose(&a), &b), 1e-4);
-    }
-
-    #[test]
-    fn into_variants_overwrite_stale_contents() {
-        let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(10);
-        let a = Tensor::rand_uniform(&[5, 7], -1.0, 1.0, &mut rng);
-        let b = Tensor::rand_uniform(&[4, 7], -1.0, 1.0, &mut rng);
-        let mut c = Tensor::full(&[5, 4], 123.0);
-        matmul_nt_into(&mut c, &a, &b);
-        assert_eq!(c, matmul_nt(&a, &b), "matmul_nt_into must overwrite");
-        let at = transpose(&a); // [7, 5]
-        let bt = transpose(&b); // [7, 4]
-        let mut c2 = Tensor::full(&[5, 4], -7.0);
-        matmul_tn_into(&mut c2, &at, &bt);
-        assert_eq!(c2, matmul_tn(&at, &bt), "matmul_tn_into must overwrite");
     }
 
     #[test]

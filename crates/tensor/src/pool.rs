@@ -317,32 +317,11 @@ where
     F: Fn(usize, &mut [f32]) + Sync,
 {
     assert!(chunk > 0, "chunk size must be positive");
-    let len = out.len();
-    if len == 0 {
-        return;
-    }
-    let n = len.div_ceil(chunk);
-    let base = SendPtr(out.as_mut_ptr());
-    // Capture the Send+Sync wrapper by reference, not its raw-pointer field
-    // (edition-2021 closures would otherwise capture the non-Send field).
-    let base = &base;
-    parallel_for(n, |i| {
-        let start = i * chunk;
-        let end = (start + chunk).min(len);
-        // SAFETY: chunks [start, end) are pairwise disjoint and within bounds;
-        // `out` is exclusively borrowed for the duration of this call.
-        let slice = unsafe { std::slice::from_raw_parts_mut(base.0.add(start), end - start) };
-        f(i, slice);
-    });
+    // Index `i` is the only one that ever locks chunk `i`, so every lock is
+    // uncontended; the mutex only lets the shared closure hand out `&mut`.
+    let chunks: Vec<Mutex<&mut [f32]>> = out.chunks_mut(chunk).map(Mutex::new).collect();
+    parallel_for(chunks.len(), |i| f(i, &mut chunks[i].lock()));
 }
-
-#[derive(Clone, Copy)]
-struct SendPtr(*mut f32);
-// SAFETY: used only to carve provably disjoint sub-slices across threads.
-unsafe impl Send for SendPtr {}
-// SAFETY: shared references to SendPtr only copy the address; all writes go
-// through the disjoint sub-slices derived above, never through `&SendPtr`.
-unsafe impl Sync for SendPtr {}
 
 #[cfg(test)]
 mod tests {

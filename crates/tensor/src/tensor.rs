@@ -132,11 +132,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consumes the tensor, returning its buffer.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Reinterprets the tensor with a new shape of identical element count.
     ///
     /// # Panics

@@ -1,6 +1,6 @@
 //! Property-based tests of the tensor kernels.
 
-use bitrobust_tensor::{dot, matmul, matmul_nt, matmul_tn, softmax_rows, transpose, Tensor};
+use bitrobust_tensor::{matmul, matmul_nt, matmul_tn, softmax_rows, transpose, Tensor};
 use proptest::prelude::*;
 
 fn tensor(rows: usize, cols: usize) -> impl Strategy<Value = Tensor> {
@@ -42,17 +42,6 @@ proptest! {
         for (x, y) in tn.data().iter().zip(explicit.data()) {
             prop_assert!((x - y).abs() < 1e-4);
         }
-    }
-
-    /// Dot product is linear in its first argument.
-    #[test]
-    fn dot_is_linear(x in prop::collection::vec(-1.0f32..1.0, 16),
-                     y in prop::collection::vec(-1.0f32..1.0, 16),
-                     alpha in -2.0f32..2.0) {
-        let scaled: Vec<f32> = x.iter().map(|v| alpha * v).collect();
-        let lhs = dot(&scaled, &y);
-        let rhs = alpha * dot(&x, &y);
-        prop_assert!((lhs - rhs).abs() < 1e-3);
     }
 
     /// Softmax rows are probability distributions and order-preserving.
