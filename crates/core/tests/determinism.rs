@@ -24,17 +24,20 @@
 //! match their serial reference with a pinned iteration order, and a
 //! killed-and-resumed multi-model sweep's store must fingerprint
 //! identically to a single-shot run's — again at 1, 2, and max threads.
+//!
+//! Every case above runs the MLP; one more runs SimpleNet-GN, so the
+//! matrix also covers the conv kernels' forward, dW and dX passes.
 
 use std::fmt::Write as _;
 
 mod common;
-use common::weights_fingerprint;
+use common::{tensors_fingerprint, weights_fingerprint};
 
 use bitrobust_core::{
     build, evaluate, evaluate_serial, run_sweep, train, ArchKind, Campaign, ChipAxis, DataParallel,
     EvalResult, NormKind, PattPattern, QuantizedModel, RErrProbe, RandBetVariant, RobustEval,
     SweepAxis, SweepModel, SweepOptions, SweepStore, TrainConfig, TrainMethod, TrainReport,
-    EVAL_BATCH,
+    EVAL_BATCH, TRAIN_SHARDS,
 };
 use bitrobust_data::{AugmentConfig, Dataset, SynthDataset};
 use bitrobust_nn::{Mode, Model};
@@ -404,6 +407,35 @@ fn worker_fingerprints() {
     for path in [&single_path, &resumed_path] {
         let _ = std::fs::remove_file(path);
     }
+
+    // (g) conv: SimpleNet-GN inference, one protocol-sharded RandBET step
+    // (parallel vs serial shards: report, weights, reduced gradient), and a
+    // campaign (serial vs eager).
+    let (model, train_ds, test_ds) = common::simplenet_fixture();
+    let (x, _) = test_ds.batch_range(0, 5);
+    let mut conv_fp = format!("{:016x}|", tensors_fingerprint(&[model.infer(&x, Mode::Eval)]));
+    let step = |serial: bool| {
+        let mut m = model.clone();
+        let dp = DataParallel { shards: TRAIN_SHARDS, serial };
+        let report = common::simplenet_randbet_step(&mut m, &train_ds, &test_ds, dp);
+        (report, m.param_tensors(), m.grad_tensors())
+    };
+    let parallel = step(false);
+    assert_eq!(parallel, step(true), "protocol-sharded conv step");
+    let (report, weights, grads) = parallel;
+    write!(
+        conv_fp,
+        "{}w{:016x}g{:016x}|",
+        fp_report(&report),
+        tensors_fingerprint(&weights),
+        tensors_fingerprint(&grads)
+    )
+    .unwrap();
+    let images = chip_images(&model, 2, 0.02);
+    let serial = Campaign::new(&model, &test_ds).serial().run(&images);
+    assert_eq!(serial, Campaign::new(&model, &test_ds).run(&images), "eager conv campaign");
+    conv_fp.push_str(&fp_results(&serial));
+    println!("FP simplenet {conv_fp}");
 }
 
 /// Extracts the `FP <case> <hex>` lines from a worker run's stdout. With
@@ -412,7 +444,7 @@ fn worker_fingerprints() {
 fn fingerprint_lines(stdout: &str) -> Vec<String> {
     let lines: Vec<String> =
         stdout.lines().filter_map(|l| l.find("FP ").map(|at| l[at..].to_string())).collect();
-    assert_eq!(lines.len(), 5, "worker must print one fingerprint per case:\n{stdout}");
+    assert_eq!(lines.len(), 6, "worker must print one fingerprint per case:\n{stdout}");
     lines
 }
 

@@ -1,5 +1,7 @@
 //! Golden pinning tests: committed bit-exact values for a short RandBET
-//! training trajectory (loss + RErr per epoch) and one campaign grid cell.
+//! training trajectory (loss + RErr per epoch) and one campaign grid cell
+//! on the MLP, plus inference, one RandBET step and one sweep cell on
+//! SimpleNet-GN, which pin the conv kernels.
 //!
 //! Purpose: parallelization refactors keep claiming "byte-identical
 //! results" — these tests pin the actual bytes, so a refactor that
@@ -24,12 +26,12 @@ use bitrobust_core::{
     TrainReport,
 };
 use bitrobust_data::{AugmentConfig, Dataset, SynthDataset};
-use bitrobust_nn::Model;
+use bitrobust_nn::{Mode, Model};
 use bitrobust_quant::QuantScheme;
 use rand::SeedableRng;
 
 mod common;
-use common::weights_fingerprint;
+use common::{tensors_fingerprint, weights_fingerprint};
 
 // ---------------------------------------------------------------------------
 // Pinned values (f32 bit patterns; see the module docs to regenerate).
@@ -82,6 +84,27 @@ const GOLDEN_CELL_ERRORS: [u32; 3] = [0x3f55_c28f, 0x3f57_4bc7, 0x3f63_53f8];
 const GOLDEN_CELL_MEAN: u32 = 0x3f5a_cb6f;
 const GOLDEN_CELL_STD: u32 = 0x3ced_c19e;
 
+// SimpleNet-GN (`common::simplenet_fixture`): the conv pins. Generated
+// before conv moved to the implicit-GEMM lowering (weights packed once per
+// call, im2col gathered straight into the GEMM's B panels), which left
+// every bit in place.
+
+/// FNV-1a fingerprint of the `Model::infer` logits on the first 5 test
+/// images.
+const GOLDEN_SIMPLENET_LOGITS_HASH: u64 = 0xa87d_ce28_2abd_111f;
+
+/// Loss of one `DataParallel::protocol()` RandBET step.
+const GOLDEN_SIMPLENET_STEP_LOSS: u32 = 0x4018_b4e5;
+
+/// FNV-1a fingerprint of that step's reduced (clean + perturbed) gradient.
+const GOLDEN_SIMPLENET_STEP_GRADS_HASH: u64 = 0xf67a_e0b0_6ee5_dd02;
+
+/// Per-chip errors and confidences of one `run_sweep` cell (rate 2%, 3
+/// chips). The untrained model's errors sit at chance; the confidences
+/// carry the logits' bits.
+const GOLDEN_SIMPLENET_CELL_ERRORS: [u32; 3] = [0x3f68_0000, 0x3f68_0000, 0x3f68_0000];
+const GOLDEN_SIMPLENET_CELL_CONFIDENCES: [u32; 3] = [0x3ef1_03da, 0x3eab_e37a, 0x3ef9_d044];
+
 // ---------------------------------------------------------------------------
 
 fn golden_training_report(data_parallel: Option<DataParallel>) -> (TrainReport, Model) {
@@ -120,6 +143,27 @@ fn golden_grid_cell() -> (Vec<f32>, f32, f32) {
         .robust(0, 0)
         .remove(0);
     (cell.errors, cell.mean_error, cell.std_error)
+}
+
+fn golden_simplenet_logits() -> u64 {
+    let (model, _, test) = common::simplenet_fixture();
+    let (x, _) = test.batch_range(0, 5);
+    tensors_fingerprint(&[model.infer(&x, Mode::Eval)])
+}
+
+fn golden_simplenet_step() -> (f32, u64) {
+    let (mut model, train_ds, test_ds) = common::simplenet_fixture();
+    let report =
+        common::simplenet_randbet_step(&mut model, &train_ds, &test_ds, DataParallel::protocol());
+    (report.epoch_losses[0], tensors_fingerprint(&model.grad_tensors()))
+}
+
+fn golden_simplenet_cell() -> (Vec<f32>, Vec<f32>) {
+    let (model, _, test) = common::simplenet_fixture();
+    let models = [SweepModel::new("simplenet", QuantScheme::rquant(8), &model)];
+    let axes = [SweepAxis::new("uniform", ChipAxis::uniform(vec![0.02], 3, 1000))];
+    let results = run_sweep(&models, &axes, &test, &SweepOptions::default(), None, |_, _| {});
+    results.cells().iter().map(|r| (r.error, r.confidence)).unzip()
 }
 
 fn bits(values: &[f32]) -> Vec<u32> {
@@ -259,6 +303,47 @@ fn golden_cell_is_pinned_with_tracing_on() {
     assert!(snap.counter("scheduler.items") > 0, "campaign ran uninstrumented");
 }
 
+#[test]
+fn golden_simplenet_infer_is_pinned() {
+    let logits = golden_simplenet_logits();
+    assert_eq!(
+        logits, GOLDEN_SIMPLENET_LOGITS_HASH,
+        "SimpleNet logits drifted; actual 0x{logits:016x}"
+    );
+}
+
+#[test]
+fn golden_simplenet_randbet_step_is_pinned() {
+    let (loss, grads) = golden_simplenet_step();
+    assert_eq!(
+        loss.to_bits(),
+        GOLDEN_SIMPLENET_STEP_LOSS,
+        "SimpleNet step loss drifted; actual 0x{:08x}",
+        loss.to_bits()
+    );
+    assert_eq!(
+        grads, GOLDEN_SIMPLENET_STEP_GRADS_HASH,
+        "SimpleNet step gradient drifted; actual 0x{grads:016x}"
+    );
+}
+
+#[test]
+fn golden_simplenet_sweep_cell_is_pinned() {
+    let (errors, confidences) = golden_simplenet_cell();
+    assert_eq!(
+        bits(&errors),
+        GOLDEN_SIMPLENET_CELL_ERRORS,
+        "SimpleNet per-chip errors drifted; actual {}",
+        hex(&bits(&errors))
+    );
+    assert_eq!(
+        bits(&confidences),
+        GOLDEN_SIMPLENET_CELL_CONFIDENCES,
+        "SimpleNet per-chip confidences drifted; actual {}",
+        hex(&bits(&confidences))
+    );
+}
+
 /// Generator for the pinned constants above (see module docs).
 #[test]
 #[ignore = "generator: prints current golden values"]
@@ -280,4 +365,12 @@ fn print_golden_values() {
     println!("GOLDEN_CELL_ERRORS: {}", hex(&bits(&errors)));
     println!("GOLDEN_CELL_MEAN: 0x{:08x}", mean.to_bits());
     println!("GOLDEN_CELL_STD: 0x{:08x}", std.to_bits());
+
+    println!("GOLDEN_SIMPLENET_LOGITS_HASH: 0x{:016x}", golden_simplenet_logits());
+    let (loss, grads) = golden_simplenet_step();
+    println!("GOLDEN_SIMPLENET_STEP_LOSS: 0x{:08x}", loss.to_bits());
+    println!("GOLDEN_SIMPLENET_STEP_GRADS_HASH: 0x{grads:016x}");
+    let (errors, confidences) = golden_simplenet_cell();
+    println!("GOLDEN_SIMPLENET_CELL_ERRORS: {}", hex(&bits(&errors)));
+    println!("GOLDEN_SIMPLENET_CELL_CONFIDENCES: {}", hex(&bits(&confidences)));
 }

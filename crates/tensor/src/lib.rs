@@ -11,8 +11,8 @@
 //! * matrix kernels ([`matmul`], [`matmul_nt`], [`matmul_tn`]) in the exact
 //!   layouts required by hand-written backprop, all routed through one
 //!   packed, cache-blocked, register-tiled GEMM (see [`gemm`]) that absorbs
-//!   transposition at pack time, so no transposes are ever materialized on
-//!   the hot path;
+//!   transposition and conv's im2col lowering at pack time, so neither a
+//!   transpose nor a column matrix is ever materialized on the hot path;
 //! * a persistent fork-join [`ThreadPool`] with [`parallel_for`] and
 //!   [`parallel_for_disjoint_chunks`], used by the layers in `bitrobust-nn`
 //!   for per-sample batch parallelism;

@@ -5,12 +5,13 @@
 //! (`MR`/`NR` microtile remainders, `MC`/`KC`/`NC` partial blocks, 1×1,
 //! K = 1, and empty-tile edges): the packed path must agree with the
 //! reference kernels to rounding (the reduction shapes differ) and with
-//! itself bit-for-bit across repeated calls.
+//! itself bit-for-bit across repeated calls and operand forms (a
+//! pre-packed A, an im2col view of B).
 
-use bitrobust_tensor::gemm::{KC, MC, MR, NC, NR};
+use bitrobust_tensor::gemm::{gemm_packed, BOperand, ConvGeometry, PackedA, KC, MC, MR, NC, NR};
 use bitrobust_tensor::{
     matmul, matmul_nt, matmul_nt_reference, matmul_reference, matmul_tn, matmul_tn_reference,
-    Tensor,
+    GemmOperand, Tensor,
 };
 use proptest::prelude::*;
 
@@ -30,6 +31,19 @@ fn tensor_from_seed(rows: usize, cols: usize, seed: u64) -> Tensor {
         })
         .collect();
     Tensor::from_vec(vec![rows, cols], data)
+}
+
+/// A row-major `[rows, cols]` matrix viewed as the im2col matrix of a
+/// `[rows, 1, cols]` sample under a 1×1 kernel, which is the matrix itself.
+fn as_im2col(rows: usize, cols: usize) -> ConvGeometry {
+    ConvGeometry::new(rows, 1, cols, 1, 1, 0)
+}
+
+/// `C = A·B` through a pre-packed `A` (`m x k`) and the B operand `b`.
+fn via_packed_a(a: GemmOperand, b: BOperand, m: usize, k: usize, n: usize) -> Vec<f32> {
+    let mut c = vec![0.0; m * n];
+    gemm_packed(&mut c, n, &PackedA::new(a, m, k), b, n);
+    c
 }
 
 /// Agreement tolerance between reduction shapes, scaled by the K extent.
@@ -56,8 +70,12 @@ proptest! {
         for (x, y) in packed.data().iter().zip(reference.data()) {
             prop_assert!(close(*x, *y, k), "nn {}x{}x{}: {} vs {}", m, k, n, x, y);
         }
-        // Bit-exact vs itself: repeated calls take identical reduction paths.
+        // Bit-exact vs itself: repeated calls take identical reduction paths,
+        // and so do a pre-packed A and B gathered as an im2col view.
         prop_assert_eq!(packed.data(), matmul(&a, &b).data());
+        let a_op = GemmOperand::row_major(a.data(), k);
+        let b_view = BOperand::Im2col(b.data(), as_im2col(k, n));
+        prop_assert_eq!(packed.data(), &via_packed_a(a_op, b_view, m, k, n)[..]);
     }
 
     /// `matmul_nt` (packed, B stored transposed) vs its naive reference.
@@ -79,6 +97,11 @@ proptest! {
             prop_assert!(close(*x, *y, k), "nt {}x{}x{}: {} vs {}", m, k, n, x, y);
         }
         prop_assert_eq!(packed.data(), matmul_nt(&a, &b).data());
+        // Stored `[n, k]`, B is the transposed im2col view of an `[n, 1, k]`
+        // sample.
+        let a_op = GemmOperand::row_major(a.data(), k);
+        let b_view = BOperand::Im2colT(b.data(), as_im2col(n, k));
+        prop_assert_eq!(packed.data(), &via_packed_a(a_op, b_view, m, k, n)[..]);
     }
 
     /// `matmul_tn` (packed, A stored transposed) vs its naive reference.
@@ -100,6 +123,9 @@ proptest! {
             prop_assert!(close(*x, *y, k), "tn {}x{}x{}: {} vs {}", m, k, n, x, y);
         }
         prop_assert_eq!(packed.data(), matmul_tn(&a, &b).data());
+        let a_op = GemmOperand::transposed(a.data(), m);
+        let b_op = GemmOperand::row_major(b.data(), n).into();
+        prop_assert_eq!(packed.data(), &via_packed_a(a_op, b_op, m, k, n)[..]);
     }
 }
 
