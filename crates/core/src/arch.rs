@@ -15,8 +15,6 @@ use bitrobust_nn::{
 };
 use rand::Rng;
 
-use crate::{ActivationProbe, ProbeHandle};
-
 /// Which normalization layers an architecture uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NormKind {
@@ -39,18 +37,12 @@ pub enum ArchKind {
     Mlp,
 }
 
-/// A built model together with its activation-probe handle.
+/// What [`build`] returns: the model holds exactly the architecture's
+/// layers. Callers read [`BuiltModel::model`].
+#[derive(Debug)]
 pub struct BuiltModel {
     /// The trainable model.
     pub model: Model,
-    /// Statistics of the activations entering the classifier head.
-    pub probe: ProbeHandle,
-}
-
-impl std::fmt::Debug for BuiltModel {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BuiltModel").finish_non_exhaustive()
-    }
 }
 
 /// Builds an architecture for images of shape `[channels, size, size]`.
@@ -110,8 +102,7 @@ fn conv_block(
 }
 
 /// The SimpleNet-style stack: pairs of 3×3 convolutions with 2×2 pooling,
-/// global average pooling, then a linear classifier. A probe sits after the
-/// last ReLU.
+/// global average pooling, then a linear classifier.
 fn simplenet(
     image_shape: [usize; 3],
     n_classes: usize,
@@ -130,11 +121,9 @@ fn simplenet(
     net.push(MaxPool2d::new(2, 2));
     conv_block(&mut net, widths[3], widths[4], 1, norm, rng);
     conv_block(&mut net, widths[4], widths[5], 1, norm, rng);
-    let (probe_layer, probe) = ActivationProbe::new();
-    net.push(probe_layer);
     net.push(GlobalAvgPool::new());
     net.push(Linear::new(widths[5], n_classes, rng));
-    BuiltModel { model: Model::new("simplenet", net), probe }
+    BuiltModel { model: Model::new("simplenet", net) }
 }
 
 /// A small pre-activation-free residual network (stem + three stages with a
@@ -177,11 +166,9 @@ fn resnet_mini(
         net.push(Relu::new());
     }
 
-    let (probe_layer, probe) = ActivationProbe::new();
-    net.push(probe_layer);
     net.push(GlobalAvgPool::new());
     net.push(Linear::new(widths[2], n_classes, rng));
-    BuiltModel { model: Model::new("resnet-mini", net), probe }
+    BuiltModel { model: Model::new("resnet-mini", net) }
 }
 
 /// Flatten → 128 → classifier.
@@ -191,10 +178,8 @@ fn mlp(image_shape: [usize; 3], n_classes: usize, rng: &mut impl Rng) -> BuiltMo
     net.push(Flatten::new());
     net.push(Linear::new(c * h * w, 128, rng));
     net.push(Relu::new());
-    let (probe_layer, probe) = ActivationProbe::new();
-    net.push(probe_layer);
     net.push(Linear::new(128, n_classes, rng));
-    BuiltModel { model: Model::new("mlp", net), probe }
+    BuiltModel { model: Model::new("mlp", net) }
 }
 
 #[cfg(test)]
@@ -265,15 +250,20 @@ mod tests {
     }
 
     #[test]
-    fn probe_reports_after_forward() {
+    fn simplenet_has_exactly_the_paper_layers() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(4);
         let built = build(ArchKind::SimpleNet, [3, 16, 16], 10, NormKind::Group, &mut rng);
-        let mut model = built.model;
-        let x = Tensor::randn(&[2, 3, 16, 16], 1.0, &mut rng);
-        let _ = model.forward(&x, Mode::Eval);
-        let stats = *built.probe.lock().unwrap();
-        assert!(stats.count > 0);
-        assert!(stats.fraction_positive > 0.0);
+        let types: Vec<&str> = built.model.layers().map(|l| l.layer_type()).collect();
+        let mut expected = Vec::new();
+        for block in 0..6 {
+            expected.extend(["Conv2d", "GroupNorm", "Relu"]);
+            if block == 1 || block == 3 {
+                expected.push("MaxPool2d");
+            }
+        }
+        expected.extend(["GlobalAvgPool", "Linear"]);
+        assert_eq!(types.len(), 22);
+        assert_eq!(types, expected);
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //! one). Shards run as a `shards × 1` grid on the shared
 //! [`crate::scheduler`] executor, each against a **persistent replica**
 //! from a [`crate::scheduler::ShardReplicas`] pool: the structural clone
-//! ([`Model::clone`] — parameters and normalization state; caches and
-//! probes start detached) happens once per training run, and every pass
+//! ([`Model::clone`] — parameters and normalization state; caches start
+//! empty) happens once per training run, and every pass
 //! merely re-syncs the parameter bits. Each shard worker:
 //!
 //! 1. copies the current parameters onto its replica

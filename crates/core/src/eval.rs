@@ -10,11 +10,6 @@
 //! [`crate::run_sweep`]. Results are byte-identical to the serial
 //! reference paths ([`evaluate_serial`], [`crate::Campaign::serial`]) at
 //! any thread count.
-//!
-//! The only deliberately-serial paths are the probe-recording ones
-//! ([`evaluate_probed`], [`quantized_error_probed`]): activation probes
-//! record "most recent batch" statistics, which stay deterministic only
-//! when batches run in order on the probed model itself.
 
 use bitrobust_biterror::ErrorInjector;
 use bitrobust_data::Dataset;
@@ -22,7 +17,6 @@ use bitrobust_nn::{Mode, Model};
 use bitrobust_quant::QuantScheme;
 use bitrobust_tensor::softmax_rows;
 
-use crate::probe::has_attached_probes;
 use crate::sweep::{run_sweep, SweepAxis, SweepModel, SweepOptions};
 use crate::{ChipAxis, QuantizedModel};
 
@@ -42,29 +36,20 @@ pub struct EvalResult {
 ///
 /// Batches fan out over the thread pool as a single-pattern campaign
 /// ([`crate::campaign`]); the result is byte-identical to
-/// [`evaluate_serial`] at any thread count. Probe state is never touched:
-/// if the model carries attached activation probes, evaluation runs on a
-/// detached replica (use [`evaluate_probed`] when you *want* probe stats).
+/// [`evaluate_serial`] at any thread count.
 ///
 /// # Panics
 ///
 /// Panics if `batch_size == 0`, `dataset` is empty, or `mode` is
 /// [`Mode::Train`].
 pub fn evaluate(model: &Model, dataset: &Dataset, batch_size: usize, mode: Mode) -> EvalResult {
-    if has_attached_probes(model) {
-        // Cloning detaches probes, so concurrent batches can't race on the
-        // shared stats handles.
-        let detached = model.clone();
-        crate::campaign::eval_model(&detached, dataset, batch_size, mode)
-    } else {
-        crate::campaign::eval_model(model, dataset, batch_size, mode)
-    }
+    crate::campaign::eval_model(model, dataset, batch_size, mode)
 }
 
 /// The serial reference implementation of [`evaluate`]: one batch at a
-/// time on the calling thread, bit-identical results. Exists for the
-/// determinism suite and the clean-eval benchmark; real callers should use
-/// [`evaluate`]. Like [`evaluate`], it never records probe statistics.
+/// time on the calling thread, in dataset order, bit-identical results.
+/// Exists for the determinism suite and the clean-eval benchmark; real
+/// callers should use [`evaluate`].
 ///
 /// # Panics
 ///
@@ -75,41 +60,6 @@ pub fn evaluate_serial(
     batch_size: usize,
     mode: Mode,
 ) -> EvalResult {
-    if has_attached_probes(model) {
-        serial_pass(&model.clone(), dataset, batch_size, mode)
-    } else {
-        serial_pass(model, dataset, batch_size, mode)
-    }
-}
-
-/// Evaluates the model serially, recording activation-probe statistics.
-///
-/// This is the explicit probe-populating pass: batches run in dataset
-/// order on `model` itself, so each probe's "most recent batch" stats are
-/// deterministic (the final batch). The returned [`EvalResult`] is
-/// byte-identical to [`evaluate`]'s.
-///
-/// # Panics
-///
-/// Panics if `model` has no attached [`crate::ActivationProbe`] — a
-/// detached replica (e.g. a campaign clone) cannot silently skip
-/// recording — and on the [`evaluate`] conditions.
-pub fn evaluate_probed(
-    model: &Model,
-    dataset: &Dataset,
-    batch_size: usize,
-    mode: Mode,
-) -> EvalResult {
-    assert!(
-        has_attached_probes(model),
-        "evaluate_probed requires attached activation probes \
-         (clones/replicas carry detached probes; probe the original model)"
-    );
-    serial_pass(model, dataset, batch_size, mode)
-}
-
-/// One serial batch loop over `infer`, accumulating in dataset order.
-fn serial_pass(model: &Model, dataset: &Dataset, batch_size: usize, mode: Mode) -> EvalResult {
     assert!(batch_size > 0, "batch size must be positive");
     mode.assert_inference();
     assert!(!dataset.is_empty(), "dataset must not be empty");
@@ -137,7 +87,7 @@ fn serial_pass(model: &Model, dataset: &Dataset, batch_size: usize, mode: Mode) 
 /// Evaluates the model after quantization (the clean `Err` the paper
 /// reports for quantized DNNs). The model itself is never written: the
 /// quantized weights go into a campaign replica, and batches fan out in
-/// parallel. Probe stats are untouched (see [`quantized_error_probed`]).
+/// parallel.
 ///
 /// # Panics
 ///
@@ -156,30 +106,6 @@ pub fn quantized_error(
         .run(std::slice::from_ref(&q))
         .pop()
         .expect("single-image campaign yields one result")
-}
-
-/// [`quantized_error`] variant that records activation-probe statistics:
-/// writes the dequantized weights into `model`, runs the serial probed
-/// pass, and restores the float weights afterwards. This is what the
-/// redundancy analysis (Fig. 6 / Fig. 10) uses to measure ReLU relevance
-/// under quantization.
-///
-/// # Panics
-///
-/// As [`evaluate_probed`].
-pub fn quantized_error_probed(
-    model: &mut Model,
-    scheme: QuantScheme,
-    dataset: &Dataset,
-    batch_size: usize,
-    mode: Mode,
-) -> EvalResult {
-    let snapshot = model.param_tensors();
-    let q = QuantizedModel::quantize(model, scheme);
-    q.write_to(model);
-    let result = evaluate_probed(model, dataset, batch_size, mode);
-    model.set_param_tensors(&snapshot);
-    result
 }
 
 /// Robust test error over a set of error-pattern samples.
@@ -323,23 +249,6 @@ mod tests {
         for (a, b) in before.iter().zip(&after) {
             assert_eq!(a, b, "float weights must be untouched");
         }
-    }
-
-    #[test]
-    fn quantized_error_probed_restores_weights_and_matches_parallel() {
-        let (mut model, test) = tiny_setup();
-        let before = model.param_tensors();
-        let parallel =
-            quantized_error(&model, QuantScheme::rquant(8), &test, EVAL_BATCH, Mode::Eval);
-        let probed = quantized_error_probed(
-            &mut model,
-            QuantScheme::rquant(8),
-            &test,
-            EVAL_BATCH,
-            Mode::Eval,
-        );
-        assert_eq!(parallel, probed);
-        assert_eq!(before, model.param_tensors(), "float weights must be restored");
     }
 
     #[test]

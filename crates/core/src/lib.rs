@@ -14,7 +14,7 @@
 //! 2. **Weight clipping** (`CLIPPING`): constraining weights to
 //!    `[-wmax, wmax]` during training, which together with the
 //!    cross-entropy loss forces redundant weight usage
-//!    ([`TrainMethod::Clipping`], [`redundancy_metrics`]).
+//!    ([`TrainMethod::Clipping`], [`redundancy_metrics`], [`relu_relevance`]).
 //! 3. **Random bit error training** (`RANDBET`, Alg. 1): injecting fresh
 //!    random bit errors into the quantized weights at every training step
 //!    and averaging clean and perturbed gradients
@@ -76,7 +76,6 @@ pub mod data_parallel;
 mod ecc;
 mod energy;
 mod eval;
-mod probe;
 mod qmodel;
 mod redundancy;
 pub mod scheduler;
@@ -91,12 +90,11 @@ pub use data_parallel::{DataParallel, TRAIN_SHARDS};
 pub use ecc::{apply_secded, multi_error_probability, DoubleErrorPolicy, EccStats, SecdedConfig};
 pub use energy::{best_saving_within, energy_tradeoff, TradeoffPoint};
 pub use eval::{
-    evaluate, evaluate_probed, evaluate_serial, quantized_error, quantized_error_probed,
-    robust_eval, robust_eval_uniform, EvalResult, RobustEval, EVAL_BATCH,
+    evaluate, evaluate_serial, quantized_error, robust_eval, robust_eval_uniform, EvalResult,
+    RobustEval, EVAL_BATCH,
 };
-pub use probe::{has_attached_probes, probe_handles, ActivationProbe, ProbeHandle, ProbeStats};
 pub use qmodel::QuantizedModel;
-pub use redundancy::{redundancy_metrics, RedundancyMetrics};
+pub use redundancy::{redundancy_metrics, relu_relevance, RedundancyMetrics};
 pub use scheduler::{ScratchReplicas, ShardReplicas};
 pub use store::{CellRecord, StoreError, SweepStore};
 pub use sweep::{run_sweep, SweepAxis, SweepCell, SweepModel, SweepOptions, SweepResults};

@@ -6,7 +6,8 @@
 //! absorbs individual bit errors. These metrics quantify that claim.
 
 use bitrobust_biterror::UniformChip;
-use bitrobust_nn::Model;
+use bitrobust_data::Dataset;
+use bitrobust_nn::{Mode, Model};
 use bitrobust_quant::QuantScheme;
 
 use crate::QuantizedModel;
@@ -92,11 +93,62 @@ pub fn redundancy_metrics(
     }
 }
 
+/// "ReLU relevance" (Fig. 10): the fraction of strictly positive
+/// activations after the model's last top-level ReLU, over every example
+/// in `dataset` — how many units the network actually uses.
+///
+/// The clean quantized weights under `scheme` go into a clone, so `model`
+/// is never written. Each batch runs in [`Mode::Eval`] through
+/// [`Model::layers`] up to and including the last top-level `Relu`. The
+/// result is a ratio of exact counts, so it does not depend on
+/// `batch_size`.
+///
+/// # Panics
+///
+/// Panics if `batch_size == 0`, `dataset` is empty, or `model` has no
+/// top-level ReLU.
+pub fn relu_relevance(
+    model: &Model,
+    scheme: QuantScheme,
+    dataset: &Dataset,
+    batch_size: usize,
+) -> f64 {
+    assert!(batch_size > 0, "batch size must be positive");
+    assert!(!dataset.is_empty(), "dataset must not be empty");
+    let mut clean = model.clone();
+    QuantizedModel::quantize(model, scheme).write_to(&mut clean);
+    let depth = clean
+        .layers()
+        .enumerate()
+        .filter(|(_, layer)| layer.layer_type() == "Relu")
+        .map(|(i, _)| i + 1)
+        .last()
+        .expect("relu_relevance needs a model with a top-level ReLU");
+
+    let (mut positive, mut total) = (0usize, 0usize);
+    for start in (0..dataset.len()).step_by(batch_size) {
+        let (mut x, _) = dataset.batch_range(start, (start + batch_size).min(dataset.len()));
+        for layer in clean.layers().take(depth) {
+            x = layer.infer(&x, Mode::Eval);
+        }
+        positive += x.data().iter().filter(|&&v| v > 0.0).count();
+        total += x.numel();
+    }
+    positive as f64 / total as f64
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{build, ArchKind, NormKind, EVAL_BATCH};
     use bitrobust_nn::{Linear, Sequential};
+    use bitrobust_tensor::Tensor;
     use rand::SeedableRng;
+
+    fn random_dataset(n: usize, shape: [usize; 3], rng: &mut impl rand::Rng) -> Dataset {
+        let [c, h, w] = shape;
+        Dataset::new("random", Tensor::randn(&[n, c, h, w], 1.0, rng), vec![0; n], 10)
+    }
 
     fn model_with_weights(f: impl Fn(usize) -> f32) -> Model {
         let mut rng = rand::rngs::StdRng::seed_from_u64(0);
@@ -143,5 +195,57 @@ mod tests {
         let r = redundancy_metrics(&m, QuantScheme::rquant(8), 0.01, 1, 0);
         assert!((0.0..=1.0).contains(&r.fraction_zero));
         assert!((0.0..=1.0).contains(&r.fraction_large));
+    }
+
+    #[test]
+    fn relu_relevance_is_independent_of_batch_size() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+        let model = build(ArchKind::SimpleNet, [3, 16, 16], 10, NormKind::Group, &mut rng).model;
+        let data = random_dataset(300, [3, 16, 16], &mut rng);
+        let scheme = QuantScheme::rquant(8);
+        let whole = relu_relevance(&model, scheme, &data, data.len());
+        assert!(whole > 0.0 && whole < 1.0, "relevance {whole}");
+        for batch_size in [7, EVAL_BATCH] {
+            let r = relu_relevance(&model, scheme, &data, batch_size);
+            assert_eq!(r.to_bits(), whole.to_bits(), "batch_size {batch_size}");
+        }
+    }
+
+    #[test]
+    fn relu_relevance_matches_the_hidden_layer_of_an_mlp() {
+        // Flatten -> Linear(16, 128) -> Relu -> Linear(128, 3), hand-weighted.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(6);
+        let mut model = build(ArchKind::Mlp, [1, 4, 4], 3, NormKind::Group, &mut rng).model;
+        let mut k = 0usize;
+        model.visit_params(&mut |p| {
+            p.value_mut().map_inplace(|_| {
+                k += 1;
+                ((k * 7919) % 23) as f32 * 0.01 - 0.11
+            });
+        });
+        let data = random_dataset(50, [1, 4, 4], &mut rng);
+        let scheme = QuantScheme::rquant(8);
+
+        // ReLU(W1 * flatten(x) + b1) under the clean quantized weights, in
+        // the GEMM's order: ascending-k sum, then the bias.
+        let mut clean = model.clone();
+        QuantizedModel::quantize(&model, scheme).write_to(&mut clean);
+        let params = clean.param_tensors();
+        let (w1, b1) = (params[0].data(), params[1].data());
+        let mut positive = 0usize;
+        for x in data.images().data().chunks_exact(16) {
+            for (row, &bias) in w1.chunks_exact(16).zip(b1) {
+                let mut acc = 0f32;
+                for (&w, &xi) in row.iter().zip(x) {
+                    acc += xi * w;
+                }
+                if acc + bias > 0.0 {
+                    positive += 1;
+                }
+            }
+        }
+        let expected = positive as f64 / (data.len() * 128) as f64;
+        assert!(expected > 0.0 && expected < 1.0, "expected {expected}");
+        assert_eq!(relu_relevance(&model, scheme, &data, 16), expected);
     }
 }

@@ -201,8 +201,7 @@ pub fn execute_serial<T>(
 /// the rewrite. Reuse is byte-identical to a fresh clone: the image write
 /// ([`crate::QuantizedModel::write_to`]) overwrites every parameter tensor,
 /// and evaluation via [`Model::infer`] reads nothing else a previous item
-/// could have touched (caches and probes stay detached, gradients are never
-/// read).
+/// could have touched (caches stay empty, gradients are never read).
 #[derive(Debug, Default)]
 pub struct ScratchReplicas {
     /// `(source id, pattern tag, replica)` for every parked replica.

@@ -41,4 +41,5 @@ fn main() {
         ]);
     }
     println!("{}", table.render());
+    bitrobust_experiments::finish_obs();
 }

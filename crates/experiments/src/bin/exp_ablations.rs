@@ -77,4 +77,5 @@ fn main() {
     );
     println!("Expected shape: dropping the clean loss term costs clean Err; skipping the");
     println!("warm-up slows or destabilizes convergence.");
+    bitrobust_experiments::finish_obs();
 }

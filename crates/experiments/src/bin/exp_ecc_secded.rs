@@ -89,6 +89,7 @@ fn main() {
     println!("Expected shape: SECDED rescues low rates but degrades as multi-error words");
     println!("dominate; RandBET needs no decoder, no parity storage, and no extra access");
     println!("energy, and keeps working at high rates.");
+    bitrobust_experiments::finish_obs();
 }
 
 /// Mean RErr over the shared chips after SECDED correction: each chip's

@@ -54,4 +54,5 @@ fn main() {
     }
     println!("{}", table.render());
     println!("Paper: p = 1% tolerance -> roughly 30% SRAM energy saving (Fig. 1).");
+    bitrobust_experiments::finish_obs();
 }

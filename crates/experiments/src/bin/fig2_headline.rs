@@ -101,4 +101,5 @@ fn main() {
         }
         println!("\nPaper headline: <1% accuracy cost buys ~20% energy; ~2.5% cost buys ~30%.");
     }
+    bitrobust_experiments::finish_obs();
 }

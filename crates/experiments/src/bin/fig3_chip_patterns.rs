@@ -74,6 +74,7 @@ fn main() {
         violations
     );
     assert_eq!(violations, 0, "subset property violated");
+    bitrobust_experiments::finish_obs();
 }
 
 fn print_map(chip: &ProfiledChip, v_hi: f64, v_lo: f64) {

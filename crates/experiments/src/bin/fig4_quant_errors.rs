@@ -52,6 +52,7 @@ fn main() {
     println!("{}", table.render());
     println!("Expected shape (paper): global >> per-layer on absolute errors;");
     println!("clipping shrinks absolute errors but relative errors grow.");
+    bitrobust_experiments::finish_obs();
 }
 
 fn stats_row(

@@ -3,16 +3,15 @@
 //! For `RQUANT`, `CLIPPING`, and `RANDBET` (without clipping) models:
 //! clean vs perturbed confidence, weight-distribution redundancy metrics
 //! (relative absolute error, weight relevance, zero/large weight
-//! fractions), and the "ReLU relevance" measured by the activation probe.
+//! fractions), and the "ReLU relevance": the fraction of positive
+//! activations after the last ReLU, measured over all test images under
+//! the clean quantized weights.
 
-use bitrobust_core::{
-    evaluate, quantized_error_probed, redundancy_metrics, RandBetVariant, TrainMethod, EVAL_BATCH,
-};
+use bitrobust_core::{redundancy_metrics, relu_relevance, RandBetVariant, TrainMethod, EVAL_BATCH};
 use bitrobust_experiments::zoo::ZooSpec;
 use bitrobust_experiments::{
     dataset_pair, pct, rerr_sweep, zoo_model, DatasetKind, ExpOptions, Table, CHIP_SEED,
 };
-use bitrobust_nn::Mode;
 use bitrobust_quant::QuantScheme;
 
 fn main() {
@@ -50,28 +49,7 @@ fn main() {
 
         let robust = rerr_sweep(&model, scheme, &test_ds, &[p], opts.chips).remove(0);
         let red = redundancy_metrics(&model, scheme, p, opts.chips.min(5), CHIP_SEED);
-
-        // ReLU relevance via a probe-equipped fresh forward: rebuild the
-        // architecture, load the trained weights, run the test set.
-        let relu_relevance = {
-            let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(0);
-            let built = bitrobust_core::build(
-                spec.arch,
-                spec.dataset.image_shape(),
-                spec.dataset.n_classes(),
-                spec.norm,
-                &mut rng,
-            );
-            let mut probed = built.model;
-            probed.set_param_tensors(&model.param_tensors());
-            // The explicit serial probed pass: the parallel `quantized_error`
-            // never touches probe state (campaign replicas are detached).
-            let _ = quantized_error_probed(&mut probed, scheme, &test_ds, EVAL_BATCH, Mode::Eval);
-            let fraction = built.probe.lock().unwrap().fraction_positive;
-            fraction
-        };
-        let clean = evaluate(&model, &test_ds, EVAL_BATCH, Mode::Eval);
-        let _ = clean;
+        let relu = relu_relevance(&model, scheme, &test_ds, EVAL_BATCH);
 
         table.row_owned(vec![
             name.into(),
@@ -82,11 +60,12 @@ fn main() {
             format!("{:.4}", red.relative_abs_error),
             format!("{:.3}", red.weight_relevance),
             format!("{:.4}", red.fraction_zero),
-            format!("{:.3}", relu_relevance),
+            format!("{relu:.3}"),
         ]);
     }
     println!("Fig. 6 / Fig. 10 (CIFAR10 stand-in, m = 8 bit, p = 1%):\n{}", table.render());
     println!("Expected shape (paper): clipping keeps perturbed confidence close to clean,");
     println!("raises weight relevance (more weights doing work), and lowers the relative");
     println!("perturbation; RANDBET alone is less effective at preserving confidences.");
+    bitrobust_experiments::finish_obs();
 }

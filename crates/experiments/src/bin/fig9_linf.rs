@@ -48,6 +48,7 @@ fn main() {
     );
     println!("Expected shape (paper): clipping improves robustness here too; note L-inf noise");
     println!("affects all weights, unlike sparse random bit errors.");
+    bitrobust_experiments::finish_obs();
 }
 
 /// Adds per-tensor uniform noise of magnitude `mag * max|w|`, evaluates,

@@ -85,4 +85,5 @@ fn main() {
     println!("Tab. 10 (CIFAR10 stand-in, m = 8 bit):\n{}", table.render());
     println!("Expected shape (paper): BN with accumulated statistics degrades far more than GN");
     println!("under bit errors; using batch statistics at test time recovers most of it.");
+    bitrobust_experiments::finish_obs();
 }

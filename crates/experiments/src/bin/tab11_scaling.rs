@@ -83,4 +83,5 @@ fn main() {
     println!("Tab. 11 (scale factor {factor:.3}):\n{}", table.render());
     println!("Expected shape (paper): the scaled model keeps clean Err but gains no robustness —");
     println!("clipping's benefit is redundancy from training, not a smaller quantization range.");
+    bitrobust_experiments::finish_obs();
 }

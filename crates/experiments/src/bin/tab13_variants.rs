@@ -42,4 +42,5 @@ fn main() {
     }
     println!("Tab. 13 (CIFAR10 stand-in, m = 8 bit, wmax = 0.1):\n{}", table.render());
     println!("Expected shape (paper): both variants perform slightly worse than standard RANDBET.");
+    bitrobust_experiments::finish_obs();
 }

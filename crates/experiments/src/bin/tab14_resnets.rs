@@ -39,4 +39,5 @@ fn main() {
     }
     println!("Tab. 14 (CIFAR10 stand-in, ResNet with GroupNorm):\n{}", table.render());
     println!("Expected shape (paper): same ordering as SimpleNet — RANDBET < CLIPPING < RQUANT.");
+    bitrobust_experiments::finish_obs();
 }

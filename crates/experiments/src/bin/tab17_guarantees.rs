@@ -63,4 +63,5 @@ fn main() {
     }
     println!("{}", table.render());
     println!("Paper: n=10^4, l=10^6 gives 4.1%; n=10^5 gives 1.7%. Empirical RErr is stable in l.");
+    bitrobust_experiments::finish_obs();
 }

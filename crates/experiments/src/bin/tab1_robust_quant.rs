@@ -65,4 +65,5 @@ fn main() {
         "Expected shape (paper): global catastrophic even at tiny p; per-layer fixes small p;"
     );
     println!("asymmetric+signed degrades at large p; unsigned + rounding (RQuant) is most robust.");
+    bitrobust_experiments::finish_obs();
 }

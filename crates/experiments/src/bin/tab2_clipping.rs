@@ -51,4 +51,5 @@ fn main() {
     println!("Expected shape (paper): smaller wmax -> higher Err but much lower RErr;");
     println!("label smoothing keeps Err but loses the robustness gain (confidence pressure is");
     println!("what makes clipping work).");
+    bitrobust_experiments::finish_obs();
 }

@@ -98,4 +98,5 @@ fn main() {
     );
     println!("Expected shape (paper): PATTBET is good on its trained pattern but degrades on the");
     println!("same pattern at lower rate and fails on random patterns; RANDBET handles all.");
+    bitrobust_experiments::finish_obs();
 }

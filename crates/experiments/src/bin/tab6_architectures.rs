@@ -48,4 +48,5 @@ fn main() {
         }
         println!("{} (W = {w}):\n{}", kind.name(), table.render());
     }
+    bitrobust_experiments::finish_obs();
 }

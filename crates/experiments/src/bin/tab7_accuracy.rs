@@ -80,4 +80,5 @@ fn main() {
     println!("Expected shape (paper): m=8/4 match float closely, m=3/2 lose 1-2%;");
     println!("BN beats GN slightly on clean Err (but loses badly on robustness, Tab. 10);");
     println!("the wider model wins on CIFAR100.");
+    bitrobust_experiments::finish_obs();
 }

@@ -104,16 +104,10 @@ pub trait Layer: Send + Sync {
     /// gives a depth-first walk of the whole layer tree.
     ///
     /// **Contract:** any container holding child layers MUST override this,
-    /// or tree walks (e.g. activation-probe discovery) will not see the
-    /// children.
+    /// or tree walks (e.g. training's check that data-parallel models hold
+    /// no BatchNorm) will not see the children.
     fn visit_children(&self, visitor: &mut dyn FnMut(&dyn Layer)) {
         let _ = visitor;
-    }
-
-    /// The layer as [`std::any::Any`] for capability discovery (e.g.
-    /// finding activation probes in a model); `None` opts out.
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        None
     }
 
     /// A short human-readable layer type name (e.g. `"Conv2d"`).

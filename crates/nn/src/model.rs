@@ -88,6 +88,12 @@ impl Model {
         self.root.visit_params_ref(visitor);
     }
 
+    /// The top-level layers in forward order. A residual block is one
+    /// item here; [`Model::visit_layers`] also walks its children.
+    pub fn layers(&self) -> impl Iterator<Item = &dyn Layer> {
+        self.root.layers()
+    }
+
     /// Visits every layer in the tree depth-first (containers before their
     /// children), including nested layers inside residual blocks.
     pub fn visit_layers(&self, visitor: &mut dyn FnMut(&dyn Layer)) {
@@ -225,7 +231,7 @@ impl Model {
     /// A compact per-layer summary (layer types and parameter counts).
     pub fn summary(&self) -> String {
         let n_params = self.num_params();
-        let types: Vec<&str> = self.root.layers().map(|l| l.layer_type()).collect();
+        let types: Vec<&str> = self.layers().map(|l| l.layer_type()).collect();
         format!("{}: {} layers, {} params [{}]", self.name, types.len(), n_params, types.join(", "))
     }
 }
