@@ -6,10 +6,11 @@
 //! exactness of the quantization boundary. This crate walks every `.rs`
 //! source in the workspace with a small hand-rolled lexer
 //! ([`lexer`] — strings/comments/attributes aware, zero dependencies) and
-//! enforces a rule engine ([`rules`]) of repo-specific lints, with inline
-//! [`// analyze:allow(rule, reason)`](context::Suppression) suppressions
-//! and a committed content-hash [`baseline`] so the pass runs strict
-//! (`--deny`) in CI from day one.
+//! enforces a rule engine ([`rules`]) of repo-specific lints. The only
+//! escape hatch is an inline
+//! [`// analyze:allow(rule, reason)`](context::Suppression) with a
+//! mandatory reason, so the pass runs strict (`--deny`) in CI: every
+//! other finding fails it.
 //!
 //! Run it as:
 //!
@@ -18,11 +19,10 @@
 //! ```
 //!
 //! See the README "Static analysis" section for the rule catalogue and
-//! the workflow around allows and the baseline.
+//! the workflow around allows.
 
 #![forbid(unsafe_code)]
 
-pub mod baseline;
 pub mod context;
 pub mod lexer;
 pub mod report;
@@ -44,7 +44,7 @@ const SKIP_DIRS: &[&str] = &["target", "vendor", ".git", "fixtures"];
 const SCAN_ROOTS: &[&str] = &["crates", "tests", "examples"];
 
 /// Recursively collects the workspace's `.rs` files, sorted for
-/// deterministic report and baseline ordering.
+/// deterministic report ordering.
 pub fn collect_sources(root: &Path) -> std::io::Result<Vec<PathBuf>> {
     let mut files = Vec::new();
     for top in SCAN_ROOTS {
@@ -74,13 +74,8 @@ fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Analyzes every source under `root`, applies the baseline (empty slice
-/// for none), and assembles the [`Report`].
-pub fn analyze_workspace(
-    root: &Path,
-    baseline_entries: &[baseline::BaselineEntry],
-    baseline_errors: Vec<baseline::BaselineError>,
-) -> std::io::Result<Report> {
+/// Analyzes every source under `root` and assembles the [`Report`].
+pub fn analyze_workspace(root: &Path) -> std::io::Result<Report> {
     let files = collect_sources(root)?;
     let files_scanned = files.len();
     let mut findings: Vec<Finding> = Vec::new();
@@ -94,8 +89,7 @@ pub fn analyze_workspace(
         suppressed += file_suppressed;
     }
     findings.sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
-    let (fresh, baselined, stale) = baseline::apply(findings, baseline_entries);
-    Ok(Report { fresh, baselined, stale, baseline_errors, suppressed, files_scanned })
+    Ok(Report { findings, suppressed, files_scanned })
 }
 
 /// Locates the workspace root by walking up from `start` to the first

@@ -4,7 +4,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use bitrobust_analyze::{analyze_workspace, baseline, find_workspace_root, rules};
+use bitrobust_analyze::{analyze_workspace, find_workspace_root, rules};
 
 const USAGE: &str = "\
 bitrobust-analyze: repo-specific determinism & unsafety lints
@@ -13,41 +13,28 @@ USAGE:
     cargo run -p bitrobust-analyze -- [OPTIONS]
 
 OPTIONS:
-    --deny             exit non-zero on any non-baselined violation (CI mode)
+    --deny             exit non-zero on any finding without an inline
+                       `// analyze:allow(rule, reason)` (CI mode)
     --root <DIR>       workspace root (default: walk up from cwd)
-    --baseline <FILE>  baseline file (default: <root>/ANALYZE_baseline.txt)
     --json <FILE>      also write the machine-readable report there
-    --print-baseline   print baseline lines grandfathering every fresh
-                       finding (fill in the reason column before committing)
     --list-rules       print the rule catalogue and exit
 ";
 
 struct Args {
     deny: bool,
     root: Option<PathBuf>,
-    baseline: Option<PathBuf>,
     json: Option<PathBuf>,
-    print_baseline: bool,
     list_rules: bool,
 }
 
 fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        deny: false,
-        root: None,
-        baseline: None,
-        json: None,
-        print_baseline: false,
-        list_rules: false,
-    };
+    let mut args = Args { deny: false, root: None, json: None, list_rules: false };
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--deny" => args.deny = true,
-            "--print-baseline" => args.print_baseline = true,
             "--list-rules" => args.list_rules = true,
             "--root" => args.root = Some(next_path(&mut it, "--root")?),
-            "--baseline" => args.baseline = Some(next_path(&mut it, "--baseline")?),
             "--json" => args.json = Some(next_path(&mut it, "--json")?),
             other => return Err(format!("unknown argument `{other}`")),
         }
@@ -81,13 +68,7 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     };
 
-    let baseline_path = args.baseline.unwrap_or_else(|| root.join("ANALYZE_baseline.txt"));
-    let (entries, errors) = match std::fs::read_to_string(&baseline_path) {
-        Ok(text) => baseline::parse(&text),
-        Err(_) => (Vec::new(), Vec::new()), // no baseline file: strict from scratch
-    };
-
-    let report = match analyze_workspace(&root, &entries, errors) {
+    let report = match analyze_workspace(&root) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("error: {e}");
@@ -96,13 +77,6 @@ fn main() -> ExitCode {
     };
 
     print!("{}", report.render_text());
-
-    if args.print_baseline && !report.fresh.is_empty() {
-        println!("\n# baseline lines for the findings above (document each reason!):");
-        for f in &report.fresh {
-            println!("{}", baseline::format_entry(f, "TODO: justify or fix"));
-        }
-    }
 
     if let Some(json_path) = args.json {
         if let Err(e) = std::fs::write(&json_path, report.render_json()) {

@@ -5,19 +5,12 @@
 //! with full string escaping since finding messages quote arbitrary
 //! source text.
 
-use crate::baseline::{BaselineEntry, BaselineError};
 use crate::rules::Finding;
 
 /// Everything one run produced, ready to render.
 pub struct Report {
-    /// Findings not covered by the baseline (these fail `--deny`).
-    pub fresh: Vec<Finding>,
-    /// Findings grandfathered by a baseline entry.
-    pub baselined: Vec<Finding>,
-    /// Baseline entries that matched nothing (violations: delete them).
-    pub stale: Vec<BaselineEntry>,
-    /// Baseline lines that failed to parse (violations).
-    pub baseline_errors: Vec<BaselineError>,
+    /// Findings without an inline `analyze:allow` (each fails `--deny`).
+    pub findings: Vec<Finding>,
     /// Findings masked by inline `analyze:allow`s.
     pub suppressed: usize,
     /// Number of `.rs` files scanned.
@@ -27,43 +20,22 @@ pub struct Report {
 impl Report {
     /// Total count of conditions that fail a `--deny` run.
     pub fn violations(&self) -> usize {
-        self.fresh.len() + self.stale.len() + self.baseline_errors.len()
+        self.findings.len()
     }
 
     /// The human-readable listing printed to stdout.
     pub fn render_text(&self) -> String {
         let mut out = String::new();
-        for f in &self.fresh {
+        for f in &self.findings {
             out.push_str(&format!(
                 "{}:{}: [{}] {}\n    {}\n",
                 f.path, f.line, f.rule, f.message, f.snippet
             ));
         }
-        for f in &self.baselined {
-            out.push_str(&format!(
-                "{}:{}: [{}] baselined: {}\n",
-                f.path, f.line, f.rule, f.message
-            ));
-        }
-        for e in &self.stale {
-            out.push_str(&format!(
-                "ANALYZE_baseline.txt:{}: stale entry ({} in {}): the finding no longer \
-                 exists — delete the line\n",
-                e.file_line, e.rule, e.path
-            ));
-        }
-        for e in &self.baseline_errors {
-            out.push_str(&format!("ANALYZE_baseline.txt:{}: {}\n", e.file_line, e.message));
-        }
         out.push_str(&format!(
-            "bitrobust-analyze: {} file(s), {} violation(s) ({} fresh, {} stale baseline, \
-             {} baseline error(s)); {} baselined, {} suppressed by analyze:allow\n",
+            "bitrobust-analyze: {} file(s), {} violation(s); {} suppressed by analyze:allow\n",
             self.files_scanned,
             self.violations(),
-            self.fresh.len(),
-            self.stale.len(),
-            self.baseline_errors.len(),
-            self.baselined.len(),
             self.suppressed,
         ));
         out
@@ -72,51 +44,31 @@ impl Report {
     /// The machine-readable document uploaded as the CI artifact.
     pub fn render_json(&self) -> String {
         let mut s = String::from("{\n");
-        s.push_str("  \"version\": 1,\n");
+        s.push_str("  \"version\": 2,\n");
         s.push_str(&format!("  \"files_scanned\": {},\n", self.files_scanned));
         s.push_str(&format!("  \"violations\": {},\n", self.violations()));
         s.push_str(&format!("  \"suppressed\": {},\n", self.suppressed));
 
         s.push_str("  \"findings\": [");
-        let all =
-            self.fresh.iter().map(|f| (f, false)).chain(self.baselined.iter().map(|f| (f, true)));
-        let mut first = true;
-        for (f, baselined) in all {
-            if !first {
-                s.push(',');
-            }
-            first = false;
-            s.push_str(&format!(
-                "\n    {{\"rule\": {}, \"path\": {}, \"line\": {}, \"baselined\": {}, \
-                 \"message\": {}, \"snippet\": {}}}",
-                json_str(f.rule),
-                json_str(&f.path),
-                f.line,
-                baselined,
-                json_str(&f.message),
-                json_str(&f.snippet),
-            ));
-        }
-        s.push_str(if first { "],\n" } else { "\n  ],\n" });
-
-        s.push_str("  \"stale_baseline\": [");
-        for (i, e) in self.stale.iter().enumerate() {
+        for (i, f) in self.findings.iter().enumerate() {
             if i > 0 {
                 s.push(',');
             }
             s.push_str(&format!(
-                "\n    {{\"rule\": {}, \"path\": {}, \"file_line\": {}}}",
-                json_str(&e.rule),
-                json_str(&e.path),
-                e.file_line
+                "\n    {{\"rule\": {}, \"path\": {}, \"line\": {}, \"message\": {}, \
+                 \"snippet\": {}}}",
+                json_str(f.rule),
+                json_str(&f.path),
+                f.line,
+                json_str(&f.message),
+                json_str(&f.snippet),
             ));
         }
-        s.push_str(if self.stale.is_empty() { "],\n" } else { "\n  ],\n" });
+        s.push_str(if self.findings.is_empty() { "],\n" } else { "\n  ],\n" });
 
-        // Per-rule counts over all findings (fresh + baselined), so the
-        // artifact graphs rule activity even when CI is green.
+        // Per-rule counts, so the artifact graphs rule activity at a glance.
         let mut counts: std::collections::BTreeMap<&str, usize> = std::collections::BTreeMap::new();
-        for f in self.fresh.iter().chain(&self.baselined) {
+        for f in &self.findings {
             *counts.entry(f.rule).or_insert(0) += 1;
         }
         s.push_str("  \"counts\": {");
@@ -154,15 +106,8 @@ fn json_str(s: &str) -> String {
 mod tests {
     use super::*;
 
-    fn report_with(fresh: Vec<Finding>) -> Report {
-        Report {
-            fresh,
-            baselined: Vec::new(),
-            stale: Vec::new(),
-            baseline_errors: Vec::new(),
-            suppressed: 0,
-            files_scanned: 3,
-        }
+    fn report_with(findings: Vec<Finding>) -> Report {
+        Report { findings, suppressed: 0, files_scanned: 3 }
     }
 
     fn finding(snippet: &str) -> Finding {
@@ -190,33 +135,30 @@ mod tests {
         let r = report_with(Vec::new());
         let json = r.render_json();
         assert!(json.contains("\"findings\": []"));
-        assert!(json.contains("\"stale_baseline\": []"));
+        assert!(json.contains("\"counts\": {}"));
         assert!(json.contains("\"violations\": 0"));
+        assert!(!json.contains("baseline"), "inline allows are the only escape hatch: {json}");
     }
 
     #[test]
-    fn violations_count_includes_stale_and_errors() {
-        let mut r = report_with(vec![finding("x as f32")]);
-        r.stale.push(crate::baseline::BaselineEntry {
-            rule: "det-rng".into(),
-            path: "a.rs".into(),
-            hash: 1,
-            reason: "r".into(),
-            file_line: 4,
-        });
-        r.baseline_errors
-            .push(crate::baseline::BaselineError { file_line: 9, message: "bad".into() });
-        assert_eq!(r.violations(), 3);
+    fn violations_count_every_finding() {
+        let r = report_with(vec![finding("x as f32"), finding("y as f32")]);
+        assert_eq!(r.violations(), 2);
         let text = r.render_text();
-        assert!(text.contains("3 violation(s)"));
-        assert!(text.contains("stale entry"));
+        assert!(text.contains("2 violation(s)"), "{text}");
+        assert!(text.contains("x as f32") && text.contains("y as f32"), "{text}");
+        assert!(r.render_json().contains("\"violations\": 2"));
     }
 
     #[test]
-    fn counts_aggregate_fresh_and_baselined_by_rule() {
-        let mut r = report_with(vec![finding("a as f32"), finding("b as f32")]);
-        r.baselined.push(finding("c as f32"));
+    fn counts_aggregate_findings_by_rule() {
+        let mut unsafety = finding("unsafe { x }");
+        unsafety.rule = "safety-comment";
+        let r = report_with(vec![finding("a as f32"), unsafety, finding("b as f32")]);
         let json = r.render_json();
-        assert!(json.contains("\"cast-boundary\": 3"), "{json}");
+        assert!(
+            json.contains("\"counts\": {\"cast-boundary\": 2, \"safety-comment\": 1}"),
+            "{json}"
+        );
     }
 }

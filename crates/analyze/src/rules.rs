@@ -8,9 +8,8 @@
 //! lexical — they run on the token stream from [`crate::lexer`], so they
 //! are immune to `unsafe` appearing in strings or comments, but they do
 //! not type-check. Where a rule needs semantic slack (a thread-count read
-//! that provably cannot change bytes), the escape hatch is an inline
-//! `// analyze:allow(<rule>, <reason>)` with a mandatory reason, or a
-//! baselined entry in `ANALYZE_baseline.txt`.
+//! that provably cannot change bytes), the one escape hatch is an inline
+//! `// analyze:allow(<rule>, <reason>)` with a mandatory reason.
 
 use crate::context::FileContext;
 use crate::lexer::TokenKind;
@@ -18,7 +17,7 @@ use crate::lexer::TokenKind;
 /// One rule violation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
-    /// Rule id (kebab-case, stable: baselines and allows reference it).
+    /// Rule id (kebab-case, stable: allows reference it).
     pub rule: &'static str,
     /// Workspace-relative path.
     pub path: String,
@@ -26,7 +25,7 @@ pub struct Finding {
     pub line: usize,
     /// Human-readable explanation.
     pub message: String,
-    /// Trimmed source line, for reports and baseline hashing.
+    /// Trimmed source line, for reports.
     pub snippet: String,
 }
 

@@ -4,25 +4,20 @@
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
+use bitrobust_analyze::analyze_workspace;
 use bitrobust_analyze::context::FileContext;
 use bitrobust_analyze::rules::{analyze_file, Finding, RULES};
-use bitrobust_analyze::{analyze_workspace, baseline};
 
 fn workspace_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../..").canonicalize().expect("workspace root")
 }
 
-/// The acceptance gate: the committed tree carries zero non-baselined
-/// findings, so `--deny` in CI is green by construction.
+/// The acceptance gate: the committed tree carries zero findings without
+/// an inline allow, so `--deny` in CI is green by construction.
 #[test]
 fn real_workspace_is_clean_under_deny() {
     let root = workspace_root();
-    let baseline_path = root.join("ANALYZE_baseline.txt");
-    let (entries, errors) = match std::fs::read_to_string(&baseline_path) {
-        Ok(text) => baseline::parse(&text),
-        Err(_) => (Vec::new(), Vec::new()),
-    };
-    let report = analyze_workspace(&root, &entries, errors).expect("scan workspace");
+    let report = analyze_workspace(&root).expect("scan workspace");
     assert!(report.files_scanned > 50, "walker found only {} files", report.files_scanned);
     assert_eq!(
         report.violations(),

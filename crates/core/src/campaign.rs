@@ -27,10 +27,9 @@
 //! ```
 //!
 //! * [`Campaign::run`] — evaluate pre-built quantized images;
-//! * [`Campaign::run_lazy`] — build each image on demand, one wave at a
-//!   time (large grids);
-//! * [`Campaign::run_cells`] — lazy images that each name their own
-//!   template model (the multi-model sweep fan-out);
+//! * [`Campaign::run_cells`] — build each image on demand, one wave at a
+//!   time, against the template it names (large grids, and the
+//!   multi-model sweep fan-out; single-template callers name template 0);
 //! * [`Campaign::serial`] — the one-batch-at-a-time reference path,
 //!   bit-identical to the parallel engine (determinism suite, benchmarks).
 //!
@@ -82,7 +81,7 @@
 //!
 //! A reused replica is **byte-identical** to a fresh clone: the image
 //! write overwrites every parameter tensor and evaluation reads nothing
-//! else. The lazy entry points build the perturbed *quantized images* one
+//! else. The lazy entry point builds the perturbed *quantized images* one
 //! wave at a time, so peak memory stays at one wave of images for
 //! model-zoo-sized grids.
 //!
@@ -204,8 +203,8 @@ impl CellImage<'_> {
 ///
 /// Construct with [`Campaign::new`] (one template model) or
 /// [`Campaign::multi`] (per-cell templates, for multi-model sweeps),
-/// adjust the optional knobs, then run via [`Campaign::run`],
-/// [`Campaign::run_lazy`], or [`Campaign::run_cells`]. See the
+/// adjust the optional knobs, then run via [`Campaign::run`] or
+/// [`Campaign::run_cells`]. See the
 /// [module docs](self) for the configuration defaults.
 ///
 /// All run paths — eager, lazy, streaming, serial — return byte-identical
@@ -289,28 +288,17 @@ impl<'a> Campaign<'a> {
     }
 
     /// Like [`Campaign::run`], but builds the quantized images **lazily**,
-    /// one wave of patterns at a time: `make_image(i)` is called for
-    /// `i in 0..n_images` as each wave starts, so at most one wave of
-    /// images (plus the scratch replicas, bounded by the pool parallelism)
-    /// is alive at a time. Use this for large grids where materializing
-    /// every perturbed weight copy up front would dominate memory.
+    /// one wave of cells at a time: `make_cell(i)` is called for
+    /// `i in 0..n_cells` as each wave starts, so at most one wave of images
+    /// (plus the scratch replicas, bounded by the pool parallelism) is
+    /// alive at a time. Use this for large grids where materializing every
+    /// perturbed weight copy up front would dominate memory.
     ///
-    /// # Panics
-    ///
-    /// As [`Campaign::run`].
-    pub fn run_lazy(
-        self,
-        n_images: usize,
-        make_image: impl Fn(usize) -> QuantizedModel,
-    ) -> Vec<EvalResult> {
-        self.drive(n_images, |i| (0, CellImage::Owned(make_image(i))), false)
-    }
-
-    /// The multi-model fan-out: evaluates `n_cells` lazily built images,
-    /// where `make_cell(i)` returns `(template_index, image)` and the cell
-    /// is evaluated against `templates[template_index]` from
+    /// `make_cell(i)` returns `(template_index, image)`, and the cell is
+    /// evaluated against `templates[template_index]` from
     /// [`Campaign::multi`] — so one campaign can span **several models'**
-    /// cells (the sweep orchestrator's engine entry point).
+    /// cells (the sweep orchestrator's engine entry point). A
+    /// single-template campaign from [`Campaign::new`] names template 0.
     ///
     /// Each cell's result is **byte-identical** to evaluating the same
     /// image through a single-template campaign of its own model: cells
@@ -679,7 +667,7 @@ mod tests {
         let (mut model, test) = tiny_setup();
         let images = uniform_images(&mut model, 5, 0.02);
         let eager = Campaign::new(&model, &test).run(&images);
-        let lazy = Campaign::new(&model, &test).run_lazy(images.len(), |i| images[i].clone());
+        let lazy = Campaign::new(&model, &test).run_cells(images.len(), |i| (0, images[i].clone()));
         assert_eq!(eager, lazy);
     }
 

@@ -12,26 +12,28 @@
 //! Per forward/backward pass, the mini-batch's rows are split into
 //! [`DataParallel::shards`] contiguous shards (sizes differing by at most
 //! one). Shards run as a `shards × 1` grid on the shared
-//! [`crate::scheduler`] executor, each against a **persistent replica**
-//! from a [`crate::scheduler::ShardReplicas`] pool: the structural clone
-//! ([`Model::clone`] — parameters and normalization state; caches start
-//! empty) happens once per training run, and every pass
-//! merely re-syncs the parameter bits. Each shard worker:
+//! [`crate::scheduler`] executor, each against a replica checked out of
+//! the training run's [`ScratchReplicas`] pool, the same pool type every
+//! campaign uses. A checkout miss clones the model ([`Model::clone`] —
+//! parameters and normalization state; caches start empty); later passes
+//! reuse the parked replicas, so live replicas are bounded by the shards
+//! running at once, not by the shard count. Each shard worker:
 //!
 //! 1. copies the current parameters onto its replica
 //!    ([`Model::set_param_tensors`] — an exact bit copy) and zeroes the
 //!    replica's gradients,
 //! 2. runs `forward(Mode::Train)` + `backward` on its shard, with the
 //!    loss normalized by the *full* batch size
-//!    ([`CrossEntropyLoss::compute_scaled`]), and
-//! 3. hands back `(loss_sum, grad_tensors)`.
+//!    ([`CrossEntropyLoss::compute_scaled`]),
+//! 3. gives the replica back to the pool, and
+//! 4. hands back `(loss_sum, grad_tensors)`.
 //!
-//! Replica reuse is byte-identical to cloning fresh every pass: parameter
-//! sync is exact, forward overwrites every activation cache
-//! unconditionally, and each pass starts from zeroed gradients. Shard
-//! results land in per-shard scheduler slots, then the gradient buffers
-//! are combined with the fixed-shape serial [`tree_reduce_grads`] and the
-//! loss sums are added in shard order.
+//! Replica reuse is byte-identical to cloning fresh every pass, whichever
+//! shard last held the replica: parameter sync is exact, forward
+//! overwrites every activation cache unconditionally, and each pass starts
+//! from zeroed gradients. Shard results land in per-shard scheduler slots,
+//! then the gradient buffers are combined with the fixed-shape serial
+//! [`tree_reduce_grads`] and the loss sums are added in shard order.
 //!
 //! # Determinism contract
 //!
@@ -53,7 +55,7 @@
 use bitrobust_nn::{tree_reduce_grads, CrossEntropyLoss, Mode, Model};
 use bitrobust_tensor::Tensor;
 
-use crate::scheduler::{self, ShardReplicas};
+use crate::scheduler::{self, ScratchReplicas};
 
 /// Shard count fixed by the experiment protocol (zoo training, paper
 /// reproduction binaries): enough to keep typical core counts busy, small
@@ -135,9 +137,10 @@ fn slice_rows(x: &Tensor, start: usize, end: usize) -> Tensor {
 /// loss when the clean gradient is about to be discarded (the
 /// PerturbedOnly ablation past warm-up).
 ///
-/// `replicas` is the pass's persistent shard-replica pool: callers keep it
-/// alive across passes (one per training run) so replicas are cloned once
-/// and merely re-synced afterwards. A fresh pool per call is always
+/// `replicas` is the training run's replica pool: callers keep it alive
+/// across passes so replicas are cloned on a miss and merely re-synced
+/// afterwards. It must hold only replicas of `model`'s architecture, so a
+/// campaign's pool is never passed here. A fresh pool per call is always
 /// correct — just slower — and byte-identical either way.
 ///
 /// Empty shards cannot occur: the effective shard count is capped at the
@@ -150,7 +153,7 @@ pub(crate) fn sharded_forward_backward(
     loss_fn: &CrossEntropyLoss,
     dp: &DataParallel,
     need_grads: bool,
-    replicas: &mut ShardReplicas,
+    replicas: &ScratchReplicas,
 ) -> ShardedPass {
     let rows = x.dim(0);
     assert!(rows > 0, "cannot train on an empty mini-batch");
@@ -161,31 +164,31 @@ pub(crate) fn sharded_forward_backward(
 
     let n_shards = dp.shards.min(rows);
     let bounds = shard_bounds(rows, n_shards);
-    replicas.ensure(model, n_shards);
-    let replicas: &ShardReplicas = replicas;
     let params = model.param_tensors();
     let run_shard = |s: usize| {
         bitrobust_obs::span!("train.shard");
         let (start, end) = bounds[s];
         let shard_x = slice_rows(x, start, end);
-        replicas.with(s, |replica| {
-            // Re-sync the persistent replica to the current model state:
-            // exact parameter bits, gradients from zero (replicas keep
-            // whatever the previous pass accumulated).
-            replica.set_param_tensors(&params);
-            replica.zero_grads();
-            let out = {
-                bitrobust_obs::span!("train.forward");
-                let logits = replica.forward(&shard_x, Mode::Train);
-                loss_fn.compute_scaled(&logits, &labels[start..end], rows)
-            };
-            if !need_grads {
-                return (out.loss_sum, Vec::new());
-            }
+        // Any parked replica will do: re-sync it to the current model
+        // state — exact parameter bits, gradients from zero (a replica
+        // keeps whatever its previous pass accumulated).
+        let mut replica = replicas.checkout(0).map_or_else(|| model.clone(), |(_, r)| r);
+        replica.set_param_tensors(&params);
+        replica.zero_grads();
+        let out = {
+            bitrobust_obs::span!("train.forward");
+            let logits = replica.forward(&shard_x, Mode::Train);
+            loss_fn.compute_scaled(&logits, &labels[start..end], rows)
+        };
+        let grads = if need_grads {
             bitrobust_obs::span!("train.backward");
             replica.backward(&out.grad);
-            (out.loss_sum, replica.grad_tensors())
-        })
+            replica.grad_tensors()
+        } else {
+            Vec::new()
+        };
+        replicas.give_back(0, 0, replica);
+        (out.loss_sum, grads)
     };
 
     let parts: Vec<(f64, Vec<Tensor>)> = if dp.serial {
@@ -271,7 +274,7 @@ mod tests {
             &loss_fn,
             &DataParallel::new(1),
             true,
-            &mut ShardReplicas::new(),
+            &ScratchReplicas::new(),
         );
 
         model.zero_grads();
@@ -298,7 +301,7 @@ mod tests {
                 &loss_fn,
                 &DataParallel { shards, serial: false },
                 true,
-                &mut ShardReplicas::new(),
+                &ScratchReplicas::new(),
             );
             let serial = sharded_forward_backward(
                 &model,
@@ -307,7 +310,7 @@ mod tests {
                 &loss_fn,
                 &DataParallel { shards, serial: true },
                 true,
-                &mut ShardReplicas::new(),
+                &ScratchReplicas::new(),
             );
             assert_eq!(parallel.loss.to_bits(), serial.loss.to_bits(), "shards {shards}");
             assert_eq!(
@@ -331,7 +334,7 @@ mod tests {
             &loss_fn,
             &DataParallel::new(4),
             true,
-            &mut ShardReplicas::new(),
+            &ScratchReplicas::new(),
         );
 
         model.zero_grads();
@@ -363,7 +366,7 @@ mod tests {
             &CrossEntropyLoss::new(),
             &DataParallel::protocol(),
             true,
-            &mut ShardReplicas::new(),
+            &ScratchReplicas::new(),
         );
         assert_eq!(model.param_tensors(), params_before);
         assert_eq!(model.grad_tensors(), grads_before);
@@ -388,7 +391,7 @@ mod tests {
             &CrossEntropyLoss::new(),
             &DataParallel { shards: 0, serial: false },
             true,
-            &mut ShardReplicas::new(),
+            &ScratchReplicas::new(),
         );
     }
 
@@ -405,7 +408,7 @@ mod tests {
             &loss_fn,
             &DataParallel::new(4),
             true,
-            &mut ShardReplicas::new(),
+            &ScratchReplicas::new(),
         );
         let loss_only = sharded_forward_backward(
             &model,
@@ -414,7 +417,7 @@ mod tests {
             &loss_fn,
             &DataParallel::new(4),
             false,
-            &mut ShardReplicas::new(),
+            &ScratchReplicas::new(),
         );
         assert_eq!(loss_only.loss.to_bits(), full.loss.to_bits());
         assert!(loss_only.grads.is_none());
@@ -434,7 +437,7 @@ mod tests {
             &loss_fn,
             &DataParallel::new(2),
             true,
-            &mut ShardReplicas::new(),
+            &ScratchReplicas::new(),
         );
         let four = sharded_forward_backward(
             &model,
@@ -443,7 +446,7 @@ mod tests {
             &loss_fn,
             &DataParallel::new(4),
             true,
-            &mut ShardReplicas::new(),
+            &ScratchReplicas::new(),
         );
         assert_ne!(
             grad_bits(&two.grads.expect("requested")),
@@ -452,22 +455,22 @@ mod tests {
         );
     }
 
-    /// Persistent shard replicas must be byte-identical to fresh clones on
-    /// every pass, including after the model's parameters change between
-    /// passes (as every optimizer step does).
+    /// Pooled replicas must be byte-identical to fresh clones on every
+    /// pass, whichever shard last held them, including after the model's
+    /// parameters change between passes (as every optimizer step does).
     #[test]
     fn persistent_replicas_match_fresh_clones_across_passes() {
         let (model, x, labels) = setup(32);
         let loss_fn = CrossEntropyLoss::new();
         let dp = DataParallel::new(4);
-        let mut pool = ShardReplicas::new();
+        let pool = ScratchReplicas::new();
 
-        let pass = |model: &Model, pool: &mut ShardReplicas| {
+        let pass = |model: &Model, pool: &ScratchReplicas| {
             sharded_forward_backward(model, &x, &labels, &loss_fn, &dp, true, pool)
         };
 
-        let first_pooled = pass(&model, &mut pool);
-        let first_fresh = pass(&model, &mut ShardReplicas::new());
+        let first_pooled = pass(&model, &pool);
+        let first_fresh = pass(&model, &ScratchReplicas::new());
         assert_eq!(first_pooled.loss.to_bits(), first_fresh.loss.to_bits());
         assert_eq!(
             grad_bits(&first_pooled.grads.expect("requested")),
@@ -486,8 +489,8 @@ mod tests {
             .collect();
         stepped.set_param_tensors(&updated);
 
-        let second_pooled = pass(&stepped, &mut pool);
-        let second_fresh = pass(&stepped, &mut ShardReplicas::new());
+        let second_pooled = pass(&stepped, &pool);
+        let second_fresh = pass(&stepped, &ScratchReplicas::new());
         assert_eq!(second_pooled.loss.to_bits(), second_fresh.loss.to_bits());
         assert_eq!(
             grad_bits(&second_pooled.grads.expect("requested")),
@@ -498,5 +501,25 @@ mod tests {
             second_pooled.loss.to_bits(),
             "the parameter step must actually change the pass"
         );
+    }
+
+    /// Live replicas are bounded by the shards running at once: a pass
+    /// over 8 shards parks at most one replica per pool thread, never one
+    /// per shard.
+    #[test]
+    fn replicas_are_bounded_by_concurrent_shards() {
+        let (model, x, labels) = setup(32);
+        let pool = ScratchReplicas::new();
+        let _ = sharded_forward_backward(
+            &model,
+            &x,
+            &labels,
+            &CrossEntropyLoss::new(),
+            &DataParallel::new(8),
+            true,
+            &pool,
+        );
+        let bound = 8.min(bitrobust_tensor::pool_parallelism());
+        assert!((1..=bound).contains(&pool.len()), "{} replicas, bound {bound}", pool.len());
     }
 }

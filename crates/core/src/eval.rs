@@ -175,10 +175,10 @@ pub fn robust_eval<I: ErrorInjector>(
     let results = crate::campaign::Campaign::new(model, dataset)
         .batch_size(batch_size)
         .mode(mode)
-        .run_lazy(injectors.len(), |i| {
+        .run_cells(injectors.len(), |i| {
             let mut q = q0.clone();
             q.inject(&injectors[i]);
-            q
+            (0, q)
         });
     RobustEval::from_results(&results)
 }

@@ -95,7 +95,7 @@ pub use eval::{
 };
 pub use qmodel::QuantizedModel;
 pub use redundancy::{redundancy_metrics, relu_relevance, RedundancyMetrics};
-pub use scheduler::{ScratchReplicas, ShardReplicas};
+pub use scheduler::ScratchReplicas;
 pub use store::{CellRecord, StoreError, SweepStore};
 pub use sweep::{run_sweep, SweepAxis, SweepCell, SweepModel, SweepOptions, SweepResults};
 pub use train::{

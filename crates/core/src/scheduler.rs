@@ -42,16 +42,14 @@
 //!
 //! # Persistent replicas
 //!
-//! Fan-outs that need per-track model state keep it in one of two small
-//! pools instead of cloning the template model every pass:
-//!
-//! * [`ScratchReplicas`] — read-only evaluation replicas for campaigns: a
-//!   work item checks out a replica of its template, writes its pattern's
-//!   weights over the parameters, and parks it again, so live replicas are
-//!   bounded by the concurrently claimed items, not the pattern count.
-//! * [`ShardReplicas`] — exclusive per-shard replicas for training: the
-//!   structural clone happens once, and each pass re-syncs parameters
-//!   bit-exactly instead of rebuilding the whole layer tree.
+//! Fan-outs that need per-track model state keep it in one small
+//! [`ScratchReplicas`] pool instead of cloning the template model every
+//! pass: a work item checks out a replica of its template (cloning only on
+//! a miss), overwrites whatever state its unit reads, and parks it again,
+//! so live replicas are bounded by the concurrently claimed items, not by
+//! the track count. Campaigns write a pattern's weights over the
+//! parameters; data-parallel training shards re-sync the parameters
+//! bit-exactly and zero the gradients.
 
 use std::sync::{Mutex, OnceLock};
 
@@ -186,22 +184,33 @@ pub fn execute_serial<T>(
     out
 }
 
-/// A checkout pool of scratch model replicas for evaluation campaigns.
+/// A checkout pool of scratch model replicas, shared by every fan-out
+/// that needs per-item model state.
 ///
-/// The pool keeps only as many `f32` replicas as there are concurrently
-/// claimed work items (≈ the pool parallelism): a worker checks a replica
-/// out at item start, writes its pattern's integer image over the
-/// parameters, evaluates, and gives the replica back. Patterns themselves
-/// only ever exist as quantized images (~4× smaller than an `f32`
-/// replica), so campaign memory does not scale with the pattern count.
+/// The pool keeps only as many replicas of a template as there are
+/// concurrently claimed work items (at most the pool parallelism): a
+/// worker checks a replica out at item start, overwrites the state its
+/// work reads, runs, and gives the replica back. The lock is held only
+/// around checkout and give-back, never across an item's work, so a
+/// panicking item cannot poison it for later items.
+///
+/// * **Campaigns** write a pattern's integer image over the parameters and
+///   evaluate via [`Model::infer`]. Patterns themselves only ever exist as
+///   quantized images (~4× smaller than an `f32` replica), so campaign
+///   memory does not scale with the pattern count.
+/// * **Data-parallel training** ([`crate::data_parallel`]) keeps one pool
+///   per training run, private to it: each shard re-syncs the parameter
+///   bits and zeroes the gradients before its forward/backward.
 ///
 /// Slots are tagged with a `source` (template identity — mixing replicas
 /// of different architectures is never allowed) and a `tag` (the pattern
-/// last written), so a checkout that lands on a same-pattern slot can skip
-/// the rewrite. Reuse is byte-identical to a fresh clone: the image write
-/// ([`crate::QuantizedModel::write_to`]) overwrites every parameter tensor,
-/// and evaluation via [`Model::infer`] reads nothing else a previous item
-/// could have touched (caches stay empty, gradients are never read).
+/// last written), so a campaign checkout that lands on a same-pattern slot
+/// can skip the rewrite. Reuse is byte-identical to a fresh clone: the
+/// image write ([`crate::QuantizedModel::write_to`]) and the training
+/// re-sync ([`Model::set_param_tensors`]) overwrite every parameter
+/// tensor; `infer` reads nothing else a previous item could have touched,
+/// and a training forward overwrites every activation cache before its
+/// backward reads it.
 #[derive(Debug, Default)]
 pub struct ScratchReplicas {
     /// `(source id, pattern tag, replica)` for every parked replica.
@@ -245,62 +254,6 @@ impl ScratchReplicas {
     /// image rewrite.
     pub fn give_back(&self, source: usize, tag: usize, replica: Model) {
         self.slots.lock().expect("scratch replica lock poisoned").push((source, tag, replica));
-    }
-}
-
-/// Persistent, exclusively-owned model replicas for data-parallel
-/// training shards.
-///
-/// Training needs one *mutable* replica per shard (forward caches and
-/// gradient buffers are written every pass). Historically each pass cloned
-/// the model per shard; this pool clones each shard's replica **once**
-/// (structure, normalization state, parameter buffers) and lets every
-/// subsequent pass re-sync just the parameter bits via
-/// [`Model::set_param_tensors`] — an exact bit copy, so results are
-/// byte-identical to fresh clones at any thread count.
-///
-/// Each shard index is claimed by exactly one worker per pass, so the
-/// per-slot locks are uncontended; they exist to make exclusive access
-/// safe without tying replicas to particular pool threads.
-#[derive(Debug, Default)]
-pub struct ShardReplicas {
-    slots: Vec<Mutex<Model>>,
-}
-
-impl ShardReplicas {
-    /// An empty pool; replicas are cloned on first [`ShardReplicas::ensure`].
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of live shard replicas.
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Whether the pool holds no replicas yet.
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
-    }
-
-    /// Ensures at least `n` replicas exist, cloning missing ones from
-    /// `template`. Existing replicas are left as-is: passes re-sync the
-    /// parameter bits themselves (see [`ShardReplicas::with`]), which is
-    /// what makes the one-time structural clone sufficient.
-    pub fn ensure(&mut self, template: &Model, n: usize) {
-        while self.slots.len() < n {
-            self.slots.push(Mutex::new(template.clone()));
-        }
-    }
-
-    /// Runs `f` with exclusive access to shard `slot`'s replica.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slot` was never [`ShardReplicas::ensure`]d.
-    pub fn with<R>(&self, slot: usize, f: impl FnOnce(&mut Model) -> R) -> R {
-        let mut replica = self.slots[slot].lock().expect("shard replica lock poisoned");
-        f(&mut replica)
     }
 }
 
@@ -404,26 +357,5 @@ mod tests {
     fn tiny_model() -> Model {
         let mut rng = rand::rngs::StdRng::seed_from_u64(0);
         build(ArchKind::Mlp, [1, 8, 8], 4, NormKind::Group, &mut rng).model
-    }
-
-    #[test]
-    fn shard_replicas_sync_matches_fresh_clone_bit_for_bit() {
-        let model = tiny_model();
-        let mut pool = ShardReplicas::new();
-        pool.ensure(&model, 3);
-        assert_eq!(pool.len(), 3);
-
-        // Dirty a replica, then re-sync parameters the way a training pass
-        // does; the result must equal a fresh clone's parameters exactly.
-        let params = model.param_tensors();
-        pool.with(1, |replica| {
-            replica.clip_params(0.001);
-            replica.set_param_tensors(&params);
-            assert_eq!(replica.param_tensors(), params);
-        });
-
-        // ensure() never shrinks or re-clones existing slots.
-        pool.ensure(&model, 2);
-        assert_eq!(pool.len(), 3);
     }
 }

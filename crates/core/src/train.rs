@@ -11,7 +11,7 @@ use rand::SeedableRng;
 
 use crate::data_parallel::{sharded_forward_backward, DataParallel};
 use crate::eval::{evaluate, quantized_error, robust_eval_uniform, RobustEval, EVAL_BATCH};
-use crate::scheduler::ShardReplicas;
+use crate::scheduler::ScratchReplicas;
 use crate::QuantizedModel;
 
 /// RandBET variants evaluated in Tab. 13.
@@ -249,10 +249,9 @@ impl GradPass {
 /// `None` is returned — callers use this when the pass only feeds the
 /// warm-up latch.
 ///
-/// `replicas` is the training run's persistent shard-replica pool
-/// ([`ShardReplicas`]), used only on the data-parallel path: replicas are
-/// cloned once per run and re-synced per pass, byte-identical to fresh
-/// clones.
+/// `replicas` is the training run's own [`ScratchReplicas`] pool, used
+/// only on the data-parallel path: shards check replicas out, re-sync
+/// them, and give them back, byte-identical to fresh clones.
 fn forward_backward(
     model: &mut Model,
     x: &Tensor,
@@ -260,7 +259,7 @@ fn forward_backward(
     loss_fn: &CrossEntropyLoss,
     dp: Option<&DataParallel>,
     need_grads: bool,
-    replicas: &mut ShardReplicas,
+    replicas: &ScratchReplicas,
 ) -> (f32, Option<GradPass>) {
     match dp {
         None => {
@@ -332,9 +331,10 @@ pub fn train(
     };
 
     let total_steps = cfg.epochs * train_ds.len().div_ceil(cfg.batch_size);
-    // One persistent shard-replica pool per training run: the data-parallel
-    // passes clone replicas on first use and only re-sync parameters after.
-    let mut shard_replicas = ShardReplicas::new();
+    // One replica pool per training run, never shared with a campaign: the
+    // data-parallel passes clone replicas on a miss and only re-sync
+    // parameters after.
+    let shard_replicas = ScratchReplicas::new();
     let mut step = 0usize;
     let mut bit_errors_active = false;
     let mut bit_errors_started_at = None;
@@ -383,7 +383,7 @@ pub fn train(
                 &loss_fn,
                 cfg.data_parallel.as_ref(),
                 clean_grads_needed,
-                &mut shard_replicas,
+                &shard_replicas,
             );
             epoch_loss += clean_loss as f64;
             batches += 1;
@@ -427,7 +427,7 @@ pub fn train(
                     &loss_fn,
                     cfg.data_parallel.as_ref(),
                     true,
-                    &mut shard_replicas,
+                    &shard_replicas,
                 );
                 perturbed_pass.expect("perturbed gradients were requested").accumulate(model);
                 model.set_param_tensors(&after_clean);
@@ -454,7 +454,7 @@ pub fn train(
                         &loss_fn,
                         cfg.data_parallel.as_ref(),
                         true,
-                        &mut shard_replicas,
+                        &shard_replicas,
                     );
                     perturbed_pass.expect("perturbed gradients were requested").accumulate(model);
                 }

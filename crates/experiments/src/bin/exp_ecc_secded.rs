@@ -103,11 +103,11 @@ fn secded_rerr(
     cfg: &SecdedConfig,
 ) -> f64 {
     let q0 = QuantizedModel::quantize(model, scheme);
-    let results = Campaign::new(model, test_ds).run_lazy(chips, |c| {
+    let results = Campaign::new(model, test_ds).run_cells(chips, |c| {
         let mut q = q0.clone();
         q.inject(&UniformChip::new(CHIP_SEED + c as u64).at_rate(p));
         let _ = apply_secded(&q0, &mut q, cfg);
-        q
+        (0, q)
     });
     results.iter().map(|r| r.error as f64).sum::<f64>() / chips as f64
 }

@@ -232,8 +232,9 @@ fn zoo_dir() -> PathBuf {
 ///
 /// # Panics
 ///
-/// Panics on cache I/O errors other than "not found" (corrupt cache files
-/// should be deleted rather than silently retrained).
+/// Panics on cache I/O errors other than "not found", and on a `.brts` or
+/// `.meta` that is truncated or garbled (corrupt cache files should be
+/// deleted rather than silently retrained).
 pub fn zoo_model(
     spec: &ZooSpec,
     train_ds: &Dataset,
@@ -253,7 +254,10 @@ pub fn zoo_model(
     if cacheable && !no_cache && params_path.exists() && meta_path.exists() {
         let file = fs::File::open(&params_path).expect("open cached params");
         model.load_params(std::io::BufReader::new(file)).expect("read cached params");
-        let report = read_meta(&fs::read_to_string(&meta_path).expect("read cached meta"));
+        let text = fs::read_to_string(&meta_path).expect("read cached meta");
+        let report = read_meta(&text).unwrap_or_else(|e| {
+            panic!("corrupt zoo cache {}: {e}; delete it to retrain", meta_path.display())
+        });
         return (model, report);
     }
 
@@ -371,36 +375,48 @@ fn write_meta(r: &TrainReport) -> String {
     )
 }
 
-fn read_meta(text: &str) -> TrainReport {
-    let mut final_loss = 0.0;
-    let mut clean_error = 0.0;
-    let mut clean_confidence = 0.0;
-    let mut started_at = -1i64;
-    let mut epoch_losses = Vec::new();
-    for line in text.lines() {
-        if let Some((k, v)) = line.split_once('=') {
-            match k {
-                "final_loss" => final_loss = v.parse().unwrap_or(0.0),
-                "clean_error" => clean_error = v.parse().unwrap_or(0.0),
-                "clean_confidence" => clean_confidence = v.parse().unwrap_or(0.0),
-                "started_at" => started_at = v.parse().unwrap_or(-1),
-                "epoch_losses" => {
-                    epoch_losses = v.split(',').filter_map(|s| s.parse().ok()).collect()
-                }
-                _ => {}
-            }
-        }
+/// Parses a `.meta` file written by [`write_meta`]. Every key must be
+/// present and parse, and the file must end in its final newline; an
+/// empty `epoch_losses=` is valid. A truncated or garbled file is an
+/// error, never a report with defaulted fields.
+fn read_meta(text: &str) -> Result<TrainReport, String> {
+    let fields: Vec<(&str, &str)> = text.lines().filter_map(|l| l.split_once('=')).collect();
+    let field = |key: &str| {
+        fields
+            .iter()
+            .find(|(k, _)| *k == key)
+            .map(|&(_, v)| v)
+            .ok_or_else(|| format!("missing `{key}`"))
+    };
+    fn parse<T: std::str::FromStr>(key: &str, v: &str) -> Result<T, String> {
+        v.parse().map_err(|_| format!("`{key}={v}` does not parse"))
     }
-    TrainReport {
+    // Fields are read in file order, so a truncated file names the first
+    // key it lost.
+    let final_loss = parse("final_loss", field("final_loss")?)?;
+    let clean_error = parse("clean_error", field("clean_error")?)?;
+    let clean_confidence = parse("clean_confidence", field("clean_confidence")?)?;
+    let started_at: i64 = parse("started_at", field("started_at")?)?;
+    let losses = field("epoch_losses")?;
+    let epoch_losses = if losses.is_empty() {
+        Vec::new()
+    } else {
+        losses.split(',').map(|l| parse("epoch_losses", l)).collect::<Result<_, _>>()?
+    };
+    // A cut inside the last line can still leave parseable numbers.
+    if !text.ends_with('\n') {
+        return Err("no final newline: the file was cut off mid-write".to_string());
+    }
+    Ok(TrainReport {
         final_loss,
         clean_error,
         clean_confidence,
-        bit_errors_started_at: if started_at >= 0 { Some(started_at as usize) } else { None },
+        bit_errors_started_at: usize::try_from(started_at).ok(),
         epoch_losses,
         // Zoo training never configures an RErr probe, so there is no
         // per-epoch RErr history to cache.
         epoch_rerr: Vec::new(),
-    }
+    })
 }
 
 #[cfg(test)]
@@ -457,10 +473,41 @@ mod tests {
             epoch_losses: vec![1.25, 0.75, 0.5],
             epoch_rerr: Vec::new(),
         };
-        let back = read_meta(&write_meta(&r));
+        let back = read_meta(&write_meta(&r)).expect("round trip");
         assert_eq!(back, r);
         let r2 = TrainReport { bit_errors_started_at: None, epoch_losses: Vec::new(), ..r };
-        assert_eq!(read_meta(&write_meta(&r2)), r2);
+        assert_eq!(read_meta(&write_meta(&r2)), Ok(r2));
+    }
+
+    /// A `.meta` cut off mid-write (the file is written after the `.brts`)
+    /// must fail to load instead of reading back as a 0%-error model.
+    #[test]
+    fn truncated_meta_is_rejected() {
+        let err = read_meta("final_loss=0.5\nclean_er").expect_err("truncated meta loaded");
+        assert!(err.contains("clean_error"), "{err}");
+        // Cut inside the loss list: every key is present and parses.
+        let full = "final_loss=0.5\nclean_error=0.1\nclean_confidence=0.9\nstarted_at=-1\n\
+                    epoch_losses=1.25,0.75\n";
+        assert!(read_meta(full).is_ok());
+        let err = read_meta(&full[..full.len() - 3]).expect_err("cut loss list loaded");
+        assert!(err.contains("cut off"), "{err}");
+    }
+
+    #[test]
+    fn non_numeric_meta_value_is_rejected() {
+        let r = TrainReport {
+            final_loss: 0.5,
+            clean_error: 0.043,
+            clean_confidence: 0.97,
+            bit_errors_started_at: None,
+            epoch_losses: vec![1.25, 0.5],
+            epoch_rerr: Vec::new(),
+        };
+        let garbled = write_meta(&r).replace("clean_error=0.043", "clean_error=abc");
+        let err = read_meta(&garbled).expect_err("garbled meta loaded");
+        assert!(err.contains("clean_error=abc"), "{err}");
+        let bad_loss = write_meta(&r).replace("1.25,0.5", "1.25,x");
+        assert!(read_meta(&bad_loss).is_err());
     }
 
     #[test]
