@@ -3,14 +3,14 @@
 
 use bitrobust_biterror::{ChipKind, ProfiledChip, UniformChip};
 use bitrobust_data::{augment_batch, AugmentConfig, Dataset};
-use bitrobust_nn::{CrossEntropyLoss, LossOutput, Mode, Model, MultiStepLr, Sgd};
+use bitrobust_nn::{CrossEntropyLoss, Mode, Model, MultiStepLr, Sgd};
 use bitrobust_quant::QuantScheme;
 use bitrobust_tensor::Tensor;
 use rand::Rng;
 use rand::SeedableRng;
 
 use crate::data_parallel::{sharded_forward_backward, DataParallel};
-use crate::eval::{evaluate, quantized_error, robust_eval_uniform, RobustEval, EVAL_BATCH};
+use crate::eval::{evaluate, quantized_error, EVAL_BATCH};
 use crate::scheduler::ScratchReplicas;
 use crate::QuantizedModel;
 
@@ -98,33 +98,15 @@ impl TrainMethod {
     }
 }
 
-/// Configuration of the optional per-epoch robust-error probe.
-///
-/// When set on [`TrainConfig::rerr_probe`], training measures `RErr` on
-/// the test set after every epoch: the model is [`Model::clone`]d (so
-/// training state — caches, gradients, probes — is untouched), clipped
-/// like the final evaluation would be, and evaluated over `n_chips`
-/// uniform chips (chip `c` seeded `1000 + c`, batches of [`EVAL_BATCH`])
-/// through the parallel campaign engine. The per-epoch results land in
-/// [`TrainReport::epoch_rerr`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RErrProbe {
-    /// Bit error rate to probe at.
-    pub p: f64,
-    /// Number of uniform chips per probe.
-    pub n_chips: usize,
-}
+/// The paper's initial learning rate, decayed ×0.1 after 2/5, 3/5 and 4/5
+/// of training ([`MultiStepLr::paper_schedule`]).
+const LR: f32 = 0.05;
 
-impl RErrProbe {
-    /// A probe at rate `p` over `n_chips` chips.
-    pub fn new(p: f64, n_chips: usize) -> Self {
-        Self { p, n_chips }
-    }
-}
+/// The paper's SGD momentum.
+const MOMENTUM: f32 = 0.9;
 
-/// Seed of the probe's chip 0: the experiments' shared chip seed, so a
-/// probe measures the same chips as the protocol's RErr.
-const PROBE_CHIP_SEED: u64 = 1000;
+/// The paper's L2 weight decay.
+const WEIGHT_DECAY: f32 = 5e-4;
 
 /// Full training configuration.
 #[derive(Debug, Clone)]
@@ -140,12 +122,6 @@ pub struct TrainConfig {
     pub epochs: usize,
     /// Mini-batch size.
     pub batch_size: usize,
-    /// Initial learning rate (decays ×0.1 after 2/5, 3/5, 4/5 of training).
-    pub lr: f32,
-    /// SGD momentum.
-    pub momentum: f32,
-    /// L2 weight decay.
-    pub weight_decay: f32,
     /// Data augmentation recipe.
     pub augment: AugmentConfig,
     /// Bit error injection starts once the clean loss first drops below
@@ -153,17 +129,15 @@ pub struct TrainConfig {
     pub warmup_loss: f32,
     /// RNG seed for shuffling, augmentation, and per-step chips.
     pub seed: u64,
-    /// Optional per-epoch `RErr` probe on the test set (requires a
-    /// quantization scheme). See [`RErrProbe`].
-    pub rerr_probe: Option<RErrProbe>,
     /// Optional data-parallel execution of every training forward/backward:
     /// each mini-batch is split into [`DataParallel::shards`] contiguous
     /// shards, run on cloned replicas over the thread pool, and the
     /// per-shard gradients are combined with a fixed-shape serial tree
-    /// reduction — byte-identical results at any thread count. `None`
-    /// (default) runs the historical single-model path. The shard count is
-    /// part of the numerical contract: `Some(DataParallel::new(n))` and
-    /// `None` produce different (equally valid) float trajectories.
+    /// reduction — byte-identical results at any thread count. `None`, the
+    /// default, runs every pass on `model` itself; it is the only path for
+    /// BatchNorm models. The shard count is part of the numerical contract:
+    /// `Some(DataParallel::new(n))` and `None` produce different (equally
+    /// valid) float trajectories.
     ///
     /// Requires a BatchNorm-free model: training-mode BatchNorm couples
     /// batch rows through shared statistics, which sharding would change.
@@ -171,8 +145,11 @@ pub struct TrainConfig {
 }
 
 impl TrainConfig {
-    /// The paper's setup scaled to the synthetic datasets: SGD(0.05, 0.9,
-    /// 5e-4), multi-step decay, CIFAR-style augmentation.
+    /// The paper's setup scaled to the synthetic datasets: 30 epochs of
+    /// batch 64, CIFAR-style augmentation, warm-up loss 1.75, seed 0, and
+    /// the single-model path. The optimizer is not configurable: `train`
+    /// always runs SGD at the paper's learning rate 0.05, momentum 0.9 and
+    /// weight decay 5e-4, with [`MultiStepLr::paper_schedule`].
     pub fn new(scheme: Option<QuantScheme>, method: TrainMethod) -> Self {
         Self {
             scheme,
@@ -180,13 +157,9 @@ impl TrainConfig {
             label_smoothing: None,
             epochs: 30,
             batch_size: 64,
-            lr: 0.05,
-            momentum: 0.9,
-            weight_decay: 5e-4,
             augment: AugmentConfig::cifar(),
             warmup_loss: 1.75,
             seed: 0,
-            rerr_probe: None,
             data_parallel: None,
         }
     }
@@ -205,9 +178,6 @@ pub struct TrainReport {
     pub bit_errors_started_at: Option<usize>,
     /// Mean clean training loss per epoch (the training trajectory).
     pub epoch_losses: Vec<f32>,
-    /// Per-epoch robust-error probe results; empty unless
-    /// [`TrainConfig::rerr_probe`] is set.
-    pub epoch_rerr: Vec<RobustEval>,
 }
 
 enum PattChipState {
@@ -216,38 +186,12 @@ enum PattChipState {
     Profiled(Box<ProfiledChip>, f64, bool),
 }
 
-/// One forward/backward pass, held until the warm-up latch decides whether
-/// its gradient participates in the update.
-///
-/// The single-model path defers `Model::backward` (the activation caches
-/// from the forward are untouched in between); the data-parallel path has
-/// already reduced its shard gradients and defers only the merge.
-enum GradPass {
-    /// Direct path: the loss output whose `grad` drives `Model::backward`.
-    Direct(LossOutput),
-    /// Data-parallel path: tree-reduced gradient buffers to accumulate.
-    Sharded(Vec<Tensor>),
-}
-
-impl GradPass {
-    /// Adds this pass's gradient to the model's accumulated gradients.
-    fn accumulate(self, model: &mut Model) {
-        match self {
-            GradPass::Direct(out) => {
-                model.backward(&out.grad);
-            }
-            GradPass::Sharded(grads) => model.accumulate_grads(&grads),
-        }
-    }
-}
-
-/// Runs one training forward/backward over `(x, labels)` through the
-/// configured execution path, returning the batch-mean loss and the
-/// deferred gradient (see [`GradPass`]). With `need_grads: false` the
-/// gradient work is skipped where that saves anything (the sharded
-/// backward/reduction; the direct path defers its backward anyway) and
-/// `None` is returned — callers use this when the pass only feeds the
-/// warm-up latch.
+/// Runs one training forward over `(x, labels)` through the configured
+/// execution path and returns the batch-mean loss. With `need_grads` it
+/// also adds the batch gradient onto `model`'s accumulated gradients:
+/// `Model::backward` on the direct path, the tree-reduced shard gradients
+/// on the data-parallel path. Without it no backward runs on either path;
+/// the pass then only feeds the warm-up latch.
 ///
 /// `replicas` is the training run's own [`ScratchReplicas`] pool, used
 /// only on the data-parallel path: shards check replicas out, re-sync
@@ -260,31 +204,41 @@ fn forward_backward(
     dp: Option<&DataParallel>,
     need_grads: bool,
     replicas: &ScratchReplicas,
-) -> (f32, Option<GradPass>) {
+) -> f32 {
     match dp {
         None => {
             let logits = model.forward(x, Mode::Train);
             let out = loss_fn.compute(&logits, labels);
-            (out.loss, need_grads.then_some(GradPass::Direct(out)))
+            if need_grads {
+                model.backward(&out.grad);
+            }
+            out.loss
         }
         Some(dp) => {
             let pass =
                 sharded_forward_backward(model, x, labels, loss_fn, dp, need_grads, replicas);
-            (pass.loss, pass.grads.map(GradPass::Sharded))
+            if let Some(grads) = pass.grads {
+                model.accumulate_grads(&grads);
+            }
+            pass.loss
         }
     }
 }
 
 /// Trains `model` on `train_ds` according to `cfg`, evaluating on `test_ds`.
 ///
-/// Implements Alg. 1 of the paper: per step, clip weights, quantize,
-/// run a clean forward/backward on the dequantized weights, optionally a
-/// perturbed forward/backward on bit-error-injected weights, and apply the
-/// summed gradient to the float weights. With
-/// [`TrainConfig::data_parallel`] set, every forward/backward shards the
-/// mini-batch over model replicas (see [`crate::data_parallel`]); the
-/// resulting [`TrainReport`] is byte-identical across thread counts and to
-/// the [`DataParallel::serial`] reference.
+/// Implements Alg. 1 of the paper: per step, clip weights, quantize, run a
+/// clean forward/backward on the dequantized weights, once the warm-up
+/// latch is set a perturbed forward/backward on bit-error-injected weights,
+/// and apply the summed gradient to the float weights with the paper's SGD
+/// (see [`TrainConfig::new`]). [`RandBetVariant`] selects the Tab. 13
+/// variants. After the last epoch the weights are clipped once more and
+/// the clean test error is measured (quantized when `cfg.scheme` is set).
+///
+/// With [`TrainConfig::data_parallel`] set, every forward/backward shards
+/// the mini-batch over model replicas (see [`crate::data_parallel`]); the
+/// resulting [`TrainReport`] and weights are byte-identical across thread
+/// counts and to the [`DataParallel::serial`] reference.
 pub fn train(
     model: &mut Model,
     train_ds: &Dataset,
@@ -293,10 +247,6 @@ pub fn train(
 ) -> TrainReport {
     assert!(cfg.epochs > 0, "need at least one epoch");
     assert!(!train_ds.is_empty(), "cannot train on an empty training set");
-    assert!(
-        cfg.rerr_probe.is_none() || cfg.scheme.is_some(),
-        "the per-epoch RErr probe requires a quantization scheme"
-    );
     if cfg.data_parallel.is_some() {
         let mut has_batchnorm = false;
         model.visit_layers(&mut |l| has_batchnorm |= l.layer_type() == "BatchNorm2d");
@@ -312,8 +262,9 @@ pub fn train(
         Some(tau) => CrossEntropyLoss::with_label_smoothing(tau),
         None => CrossEntropyLoss::new(),
     };
-    let mut sgd = Sgd::new(cfg.lr, cfg.momentum, cfg.weight_decay);
-    let schedule = MultiStepLr::paper_schedule(cfg.lr, cfg.epochs);
+    let mut sgd = Sgd::new(LR, MOMENTUM, WEIGHT_DECAY);
+    let schedule = MultiStepLr::paper_schedule(LR, cfg.epochs);
+    let dp = cfg.data_parallel.as_ref();
 
     let patt_chip = match cfg.method {
         TrainMethod::PattBet { pattern: PattPattern::Uniform { seed, p }, .. } => {
@@ -329,6 +280,11 @@ pub fn train(
         }
         _ => PattChipState::None,
     };
+    let injects = matches!(cfg.method, TrainMethod::RandBet { .. } | TrainMethod::PattBet { .. });
+    let perturbed_only =
+        matches!(cfg.method, TrainMethod::RandBet { variant: RandBetVariant::PerturbedOnly, .. });
+    let alternating =
+        matches!(cfg.method, TrainMethod::RandBet { variant: RandBetVariant::Alternating, .. });
 
     let total_steps = cfg.epochs * train_ds.len().div_ceil(cfg.batch_size);
     // One replica pool per training run, never shared with a campaign: the
@@ -340,7 +296,6 @@ pub fn train(
     let mut bit_errors_started_at = None;
     let mut final_loss = f32::INFINITY;
     let mut epoch_losses = Vec::with_capacity(cfg.epochs);
-    let mut epoch_rerr = Vec::new();
 
     for epoch in 0..cfg.epochs {
         sgd.set_lr(schedule.lr_at(epoch));
@@ -362,27 +317,18 @@ pub fn train(
                 q
             });
 
-            // Clean forward (Alg. 1 line 10); the loss also drives the
-            // warm-up latch. The backward (line 11) is deferred until the
-            // latch decides whether this step trains on the perturbed loss
-            // alone (the PerturbedOnly ablation); once that ablation is
-            // past warm-up its clean gradient is known-discarded, so the
-            // pass is asked for the loss only. (If the latch flips on this
-            // very batch, one computed gradient is dropped — unavoidable,
-            // since the decision needs this batch's loss.)
-            let is_perturbed_only_variant = matches!(
-                cfg.method,
-                TrainMethod::RandBet { variant: RandBetVariant::PerturbedOnly, .. }
-            );
-            let clean_grads_needed = !(bit_errors_active && is_perturbed_only_variant);
+            // Alg. 1 lines 10-11: clean forward/backward; the loss also
+            // drives the warm-up latch. PerturbedOnly past warm-up trains
+            // on the perturbed loss alone, so its clean pass only computes
+            // the loss.
             model.zero_grads();
-            let (clean_loss, clean_pass) = forward_backward(
+            let clean_loss = forward_backward(
                 model,
                 &x,
                 &labels,
                 &loss_fn,
-                cfg.data_parallel.as_ref(),
-                clean_grads_needed,
+                dp,
+                !(perturbed_only && bit_errors_active),
                 &shard_replicas,
             );
             epoch_loss += clean_loss as f64;
@@ -391,47 +337,37 @@ pub fn train(
             if !bit_errors_active && clean_loss < cfg.warmup_loss {
                 bit_errors_active = true;
                 bit_errors_started_at = Some(epoch);
+                if perturbed_only {
+                    // The latch needed this batch's loss, so the clean
+                    // gradient is already accumulated: drop it.
+                    model.zero_grads();
+                }
             }
 
-            let inject_now = bit_errors_active
-                && matches!(cfg.method, TrainMethod::RandBet { .. } | TrainMethod::PattBet { .. });
-
-            let perturbed_only = inject_now && is_perturbed_only_variant;
-            if !perturbed_only {
-                clean_pass
-                    .expect("the clean gradient is computed whenever it participates")
-                    .accumulate(model);
-            }
-
-            let alternating = matches!(
-                cfg.method,
-                TrainMethod::RandBet { variant: RandBetVariant::Alternating, .. }
-            );
-
-            if inject_now && alternating {
+            let mut update_from = float_params;
+            let mut projection = None;
+            if bit_errors_active && injects {
                 let q =
                     quantized.as_ref().expect("bit error training requires a quantization scheme");
-                // Variant: apply the clean update first.
-                model.set_param_tensors(&float_params);
-                sgd.step(model);
-                model.zero_grads();
-                // Record ranges to project the perturbed update into.
-                let ranges: Vec<_> = q.tensors().iter().map(|t| t.range()).collect();
-                let after_clean = model.param_tensors();
+                if alternating {
+                    // Variant: apply the clean update first, and record the
+                    // ranges to project the perturbed update into.
+                    model.set_param_tensors(&update_from);
+                    sgd.step(model);
+                    model.zero_grads();
+                    projection = Some(q.tensors().iter().map(|t| t.range()).collect::<Vec<_>>());
+                    update_from = model.param_tensors();
+                }
+                // Alg. 1 lines 12-14: perturbed forward/backward.
                 let q2 = perturb(q, &cfg.method, &patt_chip, step, total_steps, &mut rng);
                 q2.write_to(model);
-                let (_, perturbed_pass) = forward_backward(
-                    model,
-                    &x,
-                    &labels,
-                    &loss_fn,
-                    cfg.data_parallel.as_ref(),
-                    true,
-                    &shard_replicas,
-                );
-                perturbed_pass.expect("perturbed gradients were requested").accumulate(model);
-                model.set_param_tensors(&after_clean);
-                sgd.step(model);
+                forward_backward(model, &x, &labels, &loss_fn, dp, true, &shard_replicas);
+            }
+            // Alg. 1 line 16: update the float weights with the summed
+            // gradients.
+            model.set_param_tensors(&update_from);
+            sgd.step(model);
+            if let Some(ranges) = projection {
                 // Projection: perturbed updates may not grow the ranges.
                 let mut idx = 0;
                 model.visit_params(&mut |p| {
@@ -439,29 +375,6 @@ pub fn train(
                     p.value_mut().map_inplace(|v| v.clamp(r.lo(), r.hi()));
                     idx += 1;
                 });
-            } else {
-                if inject_now {
-                    let q = quantized
-                        .as_ref()
-                        .expect("bit error training requires a quantization scheme");
-                    // Alg. 1 lines 12-14: perturbed forward/backward.
-                    let q2 = perturb(q, &cfg.method, &patt_chip, step, total_steps, &mut rng);
-                    q2.write_to(model);
-                    let (_, perturbed_pass) = forward_backward(
-                        model,
-                        &x,
-                        &labels,
-                        &loss_fn,
-                        cfg.data_parallel.as_ref(),
-                        true,
-                        &shard_replicas,
-                    );
-                    perturbed_pass.expect("perturbed gradients were requested").accumulate(model);
-                }
-                // Alg. 1 line 16: update the float weights with the summed
-                // gradients.
-                model.set_param_tensors(&float_params);
-                sgd.step(model);
             }
             // The single shared step counter: every method and variant must
             // advance it exactly once per mini-batch, because it feeds the
@@ -470,29 +383,6 @@ pub fn train(
         }
         final_loss = (epoch_loss / batches as f64) as f32;
         epoch_losses.push(final_loss);
-
-        // Per-epoch RErr probe: evaluate a clipped *clone* through the
-        // campaign engine, so training state (caches, gradients, probes)
-        // and the float weights are untouched. The clone's detached
-        // probes and immutable `infer` make the fan-out safe.
-        if let Some(probe) = cfg.rerr_probe {
-            let scheme =
-                cfg.scheme.expect("the per-epoch RErr probe requires a quantization scheme");
-            let mut snapshot = model.clone();
-            if let Some(wmax) = cfg.method.wmax() {
-                snapshot.clip_params(wmax);
-            }
-            epoch_rerr.push(robust_eval_uniform(
-                &snapshot,
-                scheme,
-                test_ds,
-                probe.p,
-                probe.n_chips,
-                PROBE_CHIP_SEED,
-                EVAL_BATCH,
-                Mode::Eval,
-            ));
-        }
     }
 
     // Warm-up step accounting: `step` seeds the per-step perturbations and
@@ -519,7 +409,6 @@ pub fn train(
         clean_confidence: result.confidence,
         bit_errors_started_at,
         epoch_losses,
-        epoch_rerr,
     }
 }
 
@@ -654,58 +543,6 @@ mod tests {
     }
 
     #[test]
-    fn rerr_probe_records_one_result_per_epoch() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(6);
-        let built = build(ArchKind::Mlp, [1, 14, 14], 10, NormKind::Group, &mut rng);
-        let mut model = built.model;
-        let (train_ds, test_ds) = mnist_subset();
-        let mut cfg = quick_cfg(TrainMethod::RandBet {
-            wmax: Some(0.1),
-            p: 0.01,
-            variant: RandBetVariant::Standard,
-        });
-        cfg.warmup_loss = 100.0;
-        cfg.epochs = 2;
-        cfg.rerr_probe = Some(RErrProbe::new(0.01, 3));
-        let report = train(&mut model, &train_ds, &test_ds, &cfg);
-        assert_eq!(report.epoch_losses.len(), 2);
-        assert_eq!(report.epoch_rerr.len(), 2);
-        assert!(report.epoch_rerr.iter().all(|r| r.errors.len() == 3));
-        assert_eq!(report.final_loss, *report.epoch_losses.last().unwrap());
-    }
-
-    /// The final epoch's probe evaluates the same clipped weights `train`
-    /// returns, so the serial reference engine over that model's probe
-    /// chips must reproduce it bit for bit.
-    #[test]
-    fn final_rerr_probe_matches_serial_campaign() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-        let built = build(ArchKind::Mlp, [1, 14, 14], 10, NormKind::Group, &mut rng);
-        let mut model = built.model;
-        let (train_ds, test_ds) = mnist_subset();
-        let mut cfg = quick_cfg(TrainMethod::RandBet {
-            wmax: Some(0.1),
-            p: 0.01,
-            variant: RandBetVariant::Standard,
-        });
-        cfg.warmup_loss = 100.0;
-        cfg.epochs = 2;
-        cfg.rerr_probe = Some(RErrProbe::new(0.01, 2));
-        let report = train(&mut model, &train_ds, &test_ds, &cfg);
-
-        let q0 = QuantizedModel::quantize(&model, QuantScheme::rquant(8));
-        let images: Vec<QuantizedModel> = (0..2)
-            .map(|c| {
-                let mut q = q0.clone();
-                q.inject(&UniformChip::new(1000 + c).at_rate(0.01));
-                q
-            })
-            .collect();
-        let serial = crate::Campaign::new(&model, &test_ds).serial().run(&images);
-        assert_eq!(report.epoch_rerr.last(), Some(&RobustEval::from_results(&serial)));
-    }
-
-    #[test]
     #[should_panic(expected = "empty training set")]
     fn empty_training_set_is_rejected() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(8);
@@ -792,26 +629,6 @@ mod tests {
             assert_eq!(report.bit_errors_started_at, Some(0));
             assert!(report.clean_error.is_finite());
         }
-    }
-
-    #[test]
-    fn data_parallel_rerr_probe_still_works() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
-        let built = build(ArchKind::Mlp, [1, 14, 14], 10, NormKind::Group, &mut rng);
-        let mut model = built.model;
-        let (train_ds, test_ds) = mnist_subset();
-        let mut cfg = quick_cfg(TrainMethod::RandBet {
-            wmax: Some(0.1),
-            p: 0.01,
-            variant: RandBetVariant::Standard,
-        });
-        cfg.warmup_loss = 100.0;
-        cfg.epochs = 2;
-        cfg.rerr_probe = Some(RErrProbe::new(0.01, 2));
-        cfg.data_parallel = Some(DataParallel::new(3));
-        let report = train(&mut model, &train_ds, &test_ds, &cfg);
-        assert_eq!(report.epoch_rerr.len(), 2);
-        assert!(report.epoch_rerr.iter().all(|r| r.errors.len() == 2));
     }
 
     #[test]

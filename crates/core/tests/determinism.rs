@@ -2,9 +2,9 @@
 //!
 //! The invariant being pinned: **parallel == serial == seed**. Every
 //! parallel path — clean `evaluate`, the campaign engine, the streaming
-//! campaign, sweeps, and the in-training RErr probes — must produce
-//! byte-identical results to its serial reference, and those results must
-//! be byte-identical across thread counts.
+//! campaign, and sweeps — must produce byte-identical results to its
+//! serial reference, and those results must be byte-identical across
+//! thread counts.
 //!
 //! The in-process tests check parallel-vs-serial at whatever thread count
 //! this process runs with. The `thread_matrix` test re-executes this test
@@ -12,13 +12,15 @@
 //! (the pool is sized once per process, so distinct counts need distinct
 //! processes) — plus one run with `BITROBUST_OBS=trace`, pinning the obs
 //! crate's bit-neutrality contract — and asserts the fingerprints printed
-//! by the [`worker_fingerprints`] helper are identical across all runs.
+//! by the [`worker_fingerprints`] helper are identical across all runs and
+//! to the committed `determinism_fingerprints.txt`, so they are pinned
+//! across commits too.
 //!
 //! Since data-parallel training landed, the same discipline covers
 //! `train()`: sharded training must be byte-identical to its in-order
 //! serial shard reference ([`bitrobust_core::DataParallel::serial`]) —
-//! losses, per-epoch RErr probes, *and* final weights — for every training
-//! method, at every thread count.
+//! losses, clean error, *and* final weights — for every training method,
+//! at every thread count.
 //!
 //! The sweep orchestrator extends it once more: profiled-chip axes must
 //! match their serial reference with a pinned iteration order, and a
@@ -35,9 +37,8 @@ use common::{tensors_fingerprint, weights_fingerprint};
 
 use bitrobust_core::{
     build, evaluate, evaluate_serial, run_sweep, train, ArchKind, Campaign, ChipAxis, DataParallel,
-    EvalResult, NormKind, PattPattern, QuantizedModel, RErrProbe, RandBetVariant, RobustEval,
-    SweepAxis, SweepModel, SweepOptions, SweepStore, TrainConfig, TrainMethod, TrainReport,
-    EVAL_BATCH, TRAIN_SHARDS,
+    EvalResult, NormKind, PattPattern, QuantizedModel, RandBetVariant, SweepAxis, SweepModel,
+    SweepOptions, SweepStore, TrainConfig, TrainMethod, TrainReport, EVAL_BATCH, TRAIN_SHARDS,
 };
 use bitrobust_data::{AugmentConfig, Dataset, SynthDataset};
 use bitrobust_nn::{Mode, Model};
@@ -72,12 +73,8 @@ fn mnist_subset() -> (Dataset, Dataset) {
     (Dataset::new("train", xt, yt, 10), Dataset::new("test", xe, ye, 10))
 }
 
-/// A short RandBET run with the per-epoch RErr probe enabled (2 chips at
-/// 1%), after asserting its final probe against the serial reference: the
-/// final epoch's probe evaluates the same clipped weights `train`
-/// returns, so `Campaign::serial` over that model's probe chips must
-/// reproduce it bit for bit.
-fn probed_training_report() -> TrainReport {
+/// A short single-model RandBET run.
+fn training_report() -> TrainReport {
     let mut rng = rand::rngs::StdRng::seed_from_u64(2);
     let built = build(ArchKind::Mlp, [1, 14, 14], 10, NormKind::Group, &mut rng);
     let mut model = built.model;
@@ -90,16 +87,7 @@ fn probed_training_report() -> TrainReport {
     cfg.batch_size = 128;
     cfg.augment = AugmentConfig::none();
     cfg.warmup_loss = 100.0;
-    cfg.rerr_probe = Some(RErrProbe::new(0.01, 2));
-    let report = train(&mut model, &train_ds, &test_ds, &cfg);
-
-    let serial = Campaign::new(&model, &test_ds).serial().run(&chip_images(&model, 2, 0.01));
-    assert_eq!(
-        report.epoch_rerr.last(),
-        Some(&RobustEval::from_results(&serial)),
-        "the in-training probe must match its serial reference"
-    );
-    report
+    train(&mut model, &train_ds, &test_ds, &cfg)
 }
 
 /// The training methods the data-parallel determinism contract is pinned
@@ -128,7 +116,6 @@ fn dp_training_run(method: TrainMethod, dp: DataParallel) -> (TrainReport, Model
     cfg.batch_size = 128;
     cfg.augment = AugmentConfig::none();
     cfg.warmup_loss = 100.0;
-    cfg.rerr_probe = Some(RErrProbe::new(0.01, 2));
     cfg.data_parallel = Some(dp);
     let report = train(&mut model, &train_ds, &test_ds, &cfg);
     (report, model)
@@ -152,13 +139,6 @@ fn fp_report(report: &TrainReport) -> String {
         .unwrap();
     for loss in &report.epoch_losses {
         write!(out, "{:08x};", loss.to_bits()).unwrap();
-    }
-    for rerr in &report.epoch_rerr {
-        write!(out, "{:08x}:", rerr.mean_error.to_bits()).unwrap();
-        for e in &rerr.errors {
-            write!(out, "{:08x},", e.to_bits()).unwrap();
-        }
-        out.push(';');
     }
     out
 }
@@ -253,16 +233,6 @@ fn profiled_axis_matches_serial_reference_and_iteration_order() {
 }
 
 // ---------------------------------------------------------------------------
-// (d) in-training RErr probes: parallel vs serial
-// ---------------------------------------------------------------------------
-
-#[test]
-fn in_training_probe_matches_serial_campaign() {
-    let report = probed_training_report();
-    assert_eq!(report.epoch_rerr.len(), 2);
-}
-
-// ---------------------------------------------------------------------------
 // (e) data-parallel training: parallel vs serial shard execution
 // ---------------------------------------------------------------------------
 
@@ -348,9 +318,8 @@ fn worker_fingerprints() {
     assert_eq!(serial, Campaign::new(&model, &test).run(&images), "eager campaign");
     println!("FP campaign {}", fp_results(&serial));
 
-    // (d) in-training probes.
-    let report = probed_training_report();
-    println!("FP probed_training {}", fp_report(&report));
+    // (d) single-model training.
+    println!("FP training {}", fp_report(&training_report()));
 
     // (e) data-parallel training: report + final weights, after asserting
     // parallel == serial shard execution in-process.
@@ -448,6 +417,15 @@ fn fingerprint_lines(stdout: &str) -> Vec<String> {
     lines
 }
 
+/// The 1-thread obs-off `FP` lines of the last commit that moved results.
+const COMMITTED_FINGERPRINTS: &str = include_str!("determinism_fingerprints.txt");
+
+/// The command that rewrites `determinism_fingerprints.txt` from the
+/// current code.
+const REGENERATE: &str = "BITROBUST_THREADS=1 cargo test -p bitrobust-core --test determinism \
+     worker_fingerprints -- --exact --ignored --nocapture | grep -o 'FP .*' \
+     > crates/core/tests/determinism_fingerprints.txt";
+
 #[test]
 fn thread_matrix_results_identical_at_1_2_and_max_threads() {
     let exe = std::env::current_exe().expect("test binary path");
@@ -486,4 +464,10 @@ fn thread_matrix_results_identical_at_1_2_and_max_threads() {
             "results at {case} differ from the 1-thread obs-off reference"
         );
     }
+    let committed: Vec<&str> = COMMITTED_FINGERPRINTS.lines().collect();
+    assert_eq!(
+        reference, &committed,
+        "the 1-thread fingerprints differ from crates/core/tests/determinism_fingerprints.txt. \
+         If the change moves results on purpose, regenerate the file with\n  {REGENERATE}"
+    );
 }

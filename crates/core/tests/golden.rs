@@ -1,7 +1,9 @@
-//! Golden pinning tests: committed bit-exact values for a short RandBET
-//! training trajectory (loss + RErr per epoch) and one campaign grid cell
-//! on the MLP, plus inference, one RandBET step and one sweep cell on
-//! SimpleNet-GN, which pin the conv kernels.
+//! Golden pinning tests: committed bit-exact values for short RandBET
+//! training runs on the MLP (per-epoch losses, clean error, the trained
+//! model's per-chip RErr or weights fingerprint, for Standard and the
+//! PerturbedOnly and Curricular variants, direct and data-parallel) and
+//! one campaign grid cell, plus inference, one RandBET step and one sweep
+//! cell on SimpleNet-GN, which pin the conv kernels.
 //!
 //! Purpose: parallelization refactors keep claiming "byte-identical
 //! results" — these tests pin the actual bytes, so a refactor that
@@ -22,8 +24,7 @@
 use bitrobust_biterror::UniformChip;
 use bitrobust_core::{
     build, run_sweep, train, ArchKind, Campaign, ChipAxis, DataParallel, NormKind, QuantizedModel,
-    RErrProbe, RandBetVariant, SweepAxis, SweepModel, SweepOptions, TrainConfig, TrainMethod,
-    TrainReport,
+    RandBetVariant, SweepAxis, SweepModel, SweepOptions, TrainConfig, TrainMethod, TrainReport,
 };
 use bitrobust_data::{AugmentConfig, Dataset, SynthDataset};
 use bitrobust_nn::{Mode, Model};
@@ -46,10 +47,9 @@ use common::{tensors_fingerprint, weights_fingerprint};
 /// downstream of the weights) moved.
 const GOLDEN_EPOCH_LOSSES: [u32; 3] = [0x3fe6_6185, 0x3f40_9cdd, 0x3f2e_1af3];
 
-/// Per-epoch probe `mean_error` of the pinned RandBET run.
-const GOLDEN_EPOCH_RERR_MEANS: [u32; 3] = [0x3e08_8888, 0x3dae_147b, 0x3daa_aaab];
-
-/// Per-chip probe errors of the final epoch.
+/// Per-chip RErr of the trained model at p = 1% over 2 uniform chips
+/// seeded from 1000, measured by `run_sweep`. (Before the in-training
+/// probe was deleted, its final-epoch result pinned the same bits.)
 const GOLDEN_FINAL_EPOCH_CHIP_ERRORS: [u32; 2] = [0x3daa_aaab, 0x3daa_aaab];
 
 /// Clean quantized test error after training.
@@ -84,6 +84,50 @@ const GOLDEN_CELL_ERRORS: [u32; 3] = [0x3f55_c28f, 0x3f57_4bc7, 0x3f63_53f8];
 const GOLDEN_CELL_MEAN: u32 = 0x3f5a_cb6f;
 const GOLDEN_CELL_STD: u32 = 0x3ced_c19e;
 
+/// One pinned training run on the golden MNIST subset: per-epoch mean
+/// clean training loss, clean quantized test error, and the FNV-1a
+/// fingerprint of the final float weights.
+#[derive(Debug, PartialEq)]
+struct TrainPin {
+    epoch_losses: [u32; 3],
+    clean_error: u32,
+    weights_hash: u64,
+}
+
+// The two RandBET variants the runs above do not cover, each trained
+// direct and at 3 shards. PerturbedOnly uses warm-up 1.9, so its latch
+// flips mid-epoch 0: the clean gradient trains until that batch, is
+// dropped on it, and is never computed after. Curricular injects from
+// step 0 and ramps the training rate over the first half of training.
+
+/// PerturbedOnly, warm-up 1.9, single-model path.
+const GOLDEN_PERTURBED_ONLY: TrainPin = TrainPin {
+    epoch_losses: [0x4003_2ac3, 0x3f9a_a0be, 0x3f90_5b53],
+    clean_error: 0x3e61_47ae,
+    weights_hash: 0x1c4c_3023_e1f4_952f,
+};
+
+/// PerturbedOnly, warm-up 1.9, `DataParallel::new(3)`.
+const GOLDEN_PERTURBED_ONLY_DP3: TrainPin = TrainPin {
+    epoch_losses: [0x4003_2ac3, 0x3f9a_a0be, 0x3f90_5b53],
+    clean_error: 0x3e61_47ae,
+    weights_hash: 0x4a96_db92_2249_79ff,
+};
+
+/// Curricular, warm-up 100, single-model path.
+const GOLDEN_CURRICULAR: TrainPin = TrainPin {
+    epoch_losses: [0x3fe5_d7ca, 0x3f3f_1ac4, 0x3f2c_cc75],
+    clean_error: 0x3d96_2fc9,
+    weights_hash: 0x19b3_898e_0afd_e743,
+};
+
+/// Curricular, warm-up 100, `DataParallel::new(3)`.
+const GOLDEN_CURRICULAR_DP3: TrainPin = TrainPin {
+    epoch_losses: [0x3fe5_d7ca, 0x3f3f_1ac4, 0x3f2c_cc76],
+    clean_error: 0x3d96_2fc9,
+    weights_hash: 0x629e_036a_3251_80c7,
+};
+
 // SimpleNet-GN (`common::simplenet_fixture`): the conv pins. Generated
 // before conv moved to the implicit-GEMM lowering (weights packed once per
 // call, im2col gathered straight into the GEMM's B panels), which left
@@ -107,30 +151,91 @@ const GOLDEN_SIMPLENET_CELL_CONFIDENCES: [u32; 3] = [0x3ef1_03da, 0x3eab_e37a, 0
 
 // ---------------------------------------------------------------------------
 
-fn golden_training_report(data_parallel: Option<DataParallel>) -> (TrainReport, Model) {
-    let mut rng = rand::rngs::StdRng::seed_from_u64(2);
-    let built = build(ArchKind::Mlp, [1, 14, 14], 10, NormKind::Group, &mut rng);
-    let mut model = built.model;
+/// The golden MNIST subset: the first 600 training and 300 test images of
+/// the seed-1 synthetic MNIST.
+fn golden_datasets() -> (Dataset, Dataset) {
     let (train_src, test_src) = SynthDataset::Mnist.generate(1);
     let train_idx: Vec<usize> = (0..600).collect();
     let test_idx: Vec<usize> = (0..300).collect();
     let (xt, yt) = train_src.batch(&train_idx);
     let (xe, ye) = test_src.batch(&test_idx);
-    let train_ds = Dataset::new("train", xt, yt, 10);
-    let test_ds = Dataset::new("test", xe, ye, 10);
+    (Dataset::new("train", xt, yt, 10), Dataset::new("test", xe, ye, 10))
+}
+
+/// The golden RandBET run on the golden MNIST subset (seed-2 MLP, 3
+/// epochs, batch 128, `wmax` 0.1, p = 1%) for `variant` at `warmup_loss`.
+fn golden_training_report(
+    variant: RandBetVariant,
+    warmup_loss: f32,
+    data_parallel: Option<DataParallel>,
+) -> (TrainReport, Model) {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(2);
+    let built = build(ArchKind::Mlp, [1, 14, 14], 10, NormKind::Group, &mut rng);
+    let mut model = built.model;
+    let (train_ds, test_ds) = golden_datasets();
 
     let mut cfg = TrainConfig::new(
         Some(QuantScheme::rquant(8)),
-        TrainMethod::RandBet { wmax: Some(0.1), p: 0.01, variant: RandBetVariant::Standard },
+        TrainMethod::RandBet { wmax: Some(0.1), p: 0.01, variant },
     );
     cfg.epochs = 3;
     cfg.batch_size = 128;
     cfg.augment = AugmentConfig::none();
-    cfg.warmup_loss = 100.0;
-    cfg.rerr_probe = Some(RErrProbe::new(0.01, 2));
+    cfg.warmup_loss = warmup_loss;
     cfg.data_parallel = data_parallel;
     let report = train(&mut model, &train_ds, &test_ds, &cfg);
     (report, model)
+}
+
+/// The Standard golden run, injecting from step 0.
+fn golden_standard_report(data_parallel: Option<DataParallel>) -> (TrainReport, Model) {
+    golden_training_report(RandBetVariant::Standard, 100.0, data_parallel)
+}
+
+/// Per-chip errors of `model` on the golden test subset at p = 1% over 2
+/// uniform chips seeded from 1000.
+fn golden_chip_errors(model: &Model) -> Vec<f32> {
+    let (_, test_ds) = golden_datasets();
+    let models = [SweepModel::new("mlp", QuantScheme::rquant(8), model)];
+    let axes = [SweepAxis::new("uniform", ChipAxis::uniform(vec![0.01], 2, 1000))];
+    run_sweep(&models, &axes, &test_ds, &SweepOptions::default(), None, |_, _| {})
+        .robust(0, 0)
+        .remove(0)
+        .errors
+}
+
+/// The variant runs behind the `TrainPin` constants, in declaration order.
+fn variant_pin_runs() -> [(&'static str, RandBetVariant, f32, Option<DataParallel>); 4] {
+    [
+        ("GOLDEN_PERTURBED_ONLY", RandBetVariant::PerturbedOnly, 1.9, None),
+        (
+            "GOLDEN_PERTURBED_ONLY_DP3",
+            RandBetVariant::PerturbedOnly,
+            1.9,
+            Some(DataParallel::new(3)),
+        ),
+        ("GOLDEN_CURRICULAR", RandBetVariant::Curricular, 100.0, None),
+        ("GOLDEN_CURRICULAR_DP3", RandBetVariant::Curricular, 100.0, Some(DataParallel::new(3))),
+    ]
+}
+
+fn variant_pin(variant: RandBetVariant, warmup_loss: f32, dp: Option<DataParallel>) -> TrainPin {
+    let (report, model) = golden_training_report(variant, warmup_loss, dp);
+    assert_eq!(report.bit_errors_started_at, Some(0), "{variant:?}: injection starts in epoch 0");
+    TrainPin {
+        epoch_losses: bits(&report.epoch_losses).try_into().expect("3 epochs"),
+        clean_error: report.clean_error.to_bits(),
+        weights_hash: weights_fingerprint(&model),
+    }
+}
+
+fn fmt_pin(pin: &TrainPin) -> String {
+    format!(
+        "TrainPin {{ epoch_losses: {}, clean_error: 0x{:08x}, weights_hash: 0x{:016x} }}",
+        hex(&pin.epoch_losses),
+        pin.clean_error,
+        pin.weights_hash
+    )
 }
 
 fn golden_grid_cell() -> (Vec<f32>, f32, f32) {
@@ -177,26 +282,19 @@ fn hex(values: &[u32]) -> String {
 
 #[test]
 fn golden_randbet_trajectory_is_pinned() {
-    let (report, _) = golden_training_report(None);
+    let (report, model) = golden_standard_report(None);
     assert_eq!(
         bits(&report.epoch_losses),
         GOLDEN_EPOCH_LOSSES,
         "epoch losses drifted; actual {} (see module docs to regenerate)",
         hex(&bits(&report.epoch_losses))
     );
-    let rerr_means: Vec<f32> = report.epoch_rerr.iter().map(|r| r.mean_error).collect();
+    let final_chips = golden_chip_errors(&model);
     assert_eq!(
-        bits(&rerr_means),
-        GOLDEN_EPOCH_RERR_MEANS,
-        "per-epoch RErr drifted; actual {}",
-        hex(&bits(&rerr_means))
-    );
-    let final_chips = &report.epoch_rerr.last().expect("probe ran").errors;
-    assert_eq!(
-        bits(final_chips),
+        bits(&final_chips),
         GOLDEN_FINAL_EPOCH_CHIP_ERRORS,
         "final-epoch per-chip RErr drifted; actual {}",
-        hex(&bits(final_chips))
+        hex(&bits(&final_chips))
     );
     assert_eq!(
         report.clean_error.to_bits(),
@@ -211,7 +309,7 @@ fn golden_randbet_trajectory_is_pinned() {
 /// it must never drift across machines, thread counts, or refactors.
 #[test]
 fn golden_data_parallel_trajectory_is_pinned() {
-    let (report, model) = golden_training_report(Some(DataParallel::new(4)));
+    let (report, model) = golden_standard_report(Some(DataParallel::new(4)));
     assert_eq!(
         bits(&report.epoch_losses),
         GOLDEN_DP_EPOCH_LOSSES,
@@ -230,6 +328,22 @@ fn golden_data_parallel_trajectory_is_pinned() {
         "data-parallel final weights drifted; actual 0x{:016x}",
         weights_fingerprint(&model)
     );
+}
+
+/// PerturbedOnly's latch-flip gradient drop and Curricular's rate ramp,
+/// on both execution paths.
+#[test]
+fn golden_variant_trajectories_are_pinned() {
+    let pins = [
+        GOLDEN_PERTURBED_ONLY,
+        GOLDEN_PERTURBED_ONLY_DP3,
+        GOLDEN_CURRICULAR,
+        GOLDEN_CURRICULAR_DP3,
+    ];
+    for ((name, variant, warmup_loss, dp), expected) in variant_pin_runs().into_iter().zip(pins) {
+        let actual = variant_pin(variant, warmup_loss, dp);
+        assert_eq!(actual, expected, "{name} drifted; actual {}", fmt_pin(&actual));
+    }
 }
 
 #[test]
@@ -348,18 +462,19 @@ fn golden_simplenet_sweep_cell_is_pinned() {
 #[test]
 #[ignore = "generator: prints current golden values"]
 fn print_golden_values() {
-    let (report, _) = golden_training_report(None);
+    let (report, model) = golden_standard_report(None);
     println!("GOLDEN_EPOCH_LOSSES: {}", hex(&bits(&report.epoch_losses)));
-    let rerr_means: Vec<f32> = report.epoch_rerr.iter().map(|r| r.mean_error).collect();
-    println!("GOLDEN_EPOCH_RERR_MEANS: {}", hex(&bits(&rerr_means)));
-    let final_chips = &report.epoch_rerr.last().expect("probe ran").errors;
-    println!("GOLDEN_FINAL_EPOCH_CHIP_ERRORS: {}", hex(&bits(final_chips)));
+    println!("GOLDEN_FINAL_EPOCH_CHIP_ERRORS: {}", hex(&bits(&golden_chip_errors(&model))));
     println!("GOLDEN_CLEAN_ERROR: 0x{:08x}", report.clean_error.to_bits());
 
-    let (dp_report, dp_model) = golden_training_report(Some(DataParallel::new(4)));
+    let (dp_report, dp_model) = golden_standard_report(Some(DataParallel::new(4)));
     println!("GOLDEN_DP_EPOCH_LOSSES: {}", hex(&bits(&dp_report.epoch_losses)));
     println!("GOLDEN_DP_CLEAN_ERROR: 0x{:08x}", dp_report.clean_error.to_bits());
     println!("GOLDEN_DP_WEIGHTS_HASH: 0x{:016x}", weights_fingerprint(&dp_model));
+
+    for (name, variant, warmup_loss, dp) in variant_pin_runs() {
+        println!("{name}: {}", fmt_pin(&variant_pin(variant, warmup_loss, dp)));
+    }
 
     let (errors, mean, std) = golden_grid_cell();
     println!("GOLDEN_CELL_ERRORS: {}", hex(&bits(&errors)));

@@ -42,23 +42,11 @@ fn main() {
         spec.epochs = opts.epochs(spec.epochs);
         spec.seed = opts.seed;
         // The zoo key does not encode the warm-up override, so bypass the
-        // cache for the ablated run.
+        // cache for the ablated run, but train it exactly as the zoo would.
         let (model, report) = if no_warmup {
-            let mut cfg = bitrobust_core::TrainConfig::new(spec.scheme, spec.method);
-            cfg.epochs = spec.epochs;
+            let mut cfg = spec.train_config();
             cfg.warmup_loss = f32::INFINITY;
-            cfg.augment = spec.dataset.augment();
-            cfg.seed = spec.seed;
-            let mut rng =
-                <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(spec.seed ^ 0xA2C4);
-            let built = bitrobust_core::build(
-                spec.arch,
-                spec.dataset.image_shape(),
-                spec.dataset.n_classes(),
-                spec.norm,
-                &mut rng,
-            );
-            let mut model = built.model;
+            let mut model = spec.initial_model();
             let report = bitrobust_core::train(&mut model, &train_ds, &test_ds, &cfg);
             (model, report)
         } else {

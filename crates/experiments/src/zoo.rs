@@ -197,7 +197,11 @@ impl ZooSpec {
         )
     }
 
-    fn train_config(&self) -> TrainConfig {
+    /// The spec's training configuration: the dataset's warm-up loss and
+    /// augmentation, the spec's epochs, seed and label smoothing, and
+    /// data-parallel training at [`DataParallel::protocol`] unless the
+    /// model uses BatchNorm.
+    pub fn train_config(&self) -> TrainConfig {
         let mut cfg = TrainConfig::new(self.scheme, self.method);
         cfg.label_smoothing = self.label_smoothing;
         cfg.epochs = self.epochs;
@@ -215,6 +219,14 @@ impl ZooSpec {
             cfg.data_parallel = Some(DataParallel::protocol());
         }
         cfg
+    }
+
+    /// The spec's untrained model: its architecture and normalization,
+    /// initialized from the spec's seed.
+    pub fn initial_model(&self) -> Model {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(self.seed ^ 0xA2C4);
+        build(self.arch, self.dataset.image_shape(), self.dataset.n_classes(), self.norm, &mut rng)
+            .model
     }
 }
 
@@ -241,10 +253,7 @@ pub fn zoo_model(
     test_ds: &Dataset,
     no_cache: bool,
 ) -> (Model, TrainReport) {
-    let mut rng = rand::rngs::StdRng::seed_from_u64(spec.seed ^ 0xA2C4);
-    let built =
-        build(spec.arch, spec.dataset.image_shape(), spec.dataset.n_classes(), spec.norm, &mut rng);
-    let mut model = built.model;
+    let mut model = spec.initial_model();
 
     let cacheable = spec.norm != NormKind::Batch;
     let dir = zoo_dir();
@@ -282,7 +291,7 @@ pub fn zoo_model(
 /// model); with a *small* zoo it starves the machine — 2 models on 16
 /// cores would leave 14 idle. In that regime it is faster to train the
 /// models one after another and let each training's own fan-outs
-/// (data-parallel shards, batch-parallel probes and evaluation) own the
+/// (data-parallel shards and batch-parallel evaluation) own the
 /// whole pool. The crossover is heuristic: inner parallelism never scales
 /// perfectly, so sequential-inner only wins clearly while the model count
 /// is at most about half the thread count.
@@ -413,9 +422,6 @@ fn read_meta(text: &str) -> Result<TrainReport, String> {
         clean_confidence,
         bit_errors_started_at: usize::try_from(started_at).ok(),
         epoch_losses,
-        // Zoo training never configures an RErr probe, so there is no
-        // per-epoch RErr history to cache.
-        epoch_rerr: Vec::new(),
     })
 }
 
@@ -471,7 +477,6 @@ mod tests {
             clean_confidence: 0.97,
             bit_errors_started_at: Some(3),
             epoch_losses: vec![1.25, 0.75, 0.5],
-            epoch_rerr: Vec::new(),
         };
         let back = read_meta(&write_meta(&r)).expect("round trip");
         assert_eq!(back, r);
@@ -501,7 +506,6 @@ mod tests {
             clean_confidence: 0.97,
             bit_errors_started_at: None,
             epoch_losses: vec![1.25, 0.5],
-            epoch_rerr: Vec::new(),
         };
         let garbled = write_meta(&r).replace("clean_error=0.043", "clean_error=abc");
         let err = read_meta(&garbled).expect_err("garbled meta loaded");

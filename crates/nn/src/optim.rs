@@ -66,11 +66,6 @@ impl Sgd {
             index += 1;
         });
     }
-
-    /// Clears momentum state (e.g. when re-using the optimizer on new data).
-    pub fn reset(&mut self) {
-        self.buffers.clear();
-    }
 }
 
 /// Multi-step learning-rate decay: `lr = base * gamma^(milestones passed)`.
