@@ -462,9 +462,9 @@ fn validate(dataset: &Dataset, batch_size: usize, mode: Mode) {
 /// campaign (profiled-chip synthesis, rate→voltage resolution) before any
 /// cell is built.
 ///
-/// Uniform grids are not a separate code path: `robust_eval_uniform`, the
-/// experiments' rate sweeps, and the durable sweeps all drive
-/// [`ChipAxis::Uniform`] through [`crate::run_sweep`].
+/// Uniform grids are not a separate code path: [`crate::robust_eval`] and
+/// the durable sweeps both drive a [`ChipAxis`] through
+/// [`crate::run_sweep`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum ChipAxis {
     /// Uniform random chips: `rates × n_chips` cells with chip `c` seeded
@@ -580,7 +580,7 @@ impl PreparedAxis<'_> {
 mod tests {
     use super::*;
     use crate::arch::{build, ArchKind, NormKind};
-    use crate::{evaluate, robust_eval_uniform, EVAL_BATCH};
+    use crate::{evaluate, robust_eval, EVAL_BATCH};
     use bitrobust_data::SynthDataset;
     use bitrobust_quant::QuantScheme;
     use rand::SeedableRng;
@@ -636,30 +636,12 @@ mod tests {
     }
 
     #[test]
-    fn robust_eval_uniform_is_deterministic_across_calls() {
+    fn robust_eval_is_deterministic_across_calls() {
         let (model, test) = tiny_setup();
-        let a = robust_eval_uniform(
-            &model,
-            QuantScheme::rquant(8),
-            &test,
-            0.01,
-            5,
-            1000,
-            EVAL_BATCH,
-            Mode::Eval,
-        );
-        let b = robust_eval_uniform(
-            &model,
-            QuantScheme::rquant(8),
-            &test,
-            0.01,
-            5,
-            1000,
-            EVAL_BATCH,
-            Mode::Eval,
-        );
-        assert_eq!(a.errors, b.errors);
-        assert_eq!(a.mean_confidence, b.mean_confidence);
+        let axis = ChipAxis::uniform(vec![0.01], 5, 1000);
+        let a = robust_eval(&model, QuantScheme::rquant(8), &test, axis.clone());
+        let b = robust_eval(&model, QuantScheme::rquant(8), &test, axis);
+        assert_eq!(a, b);
     }
 
     #[test]

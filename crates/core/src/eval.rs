@@ -4,14 +4,13 @@
 //! the immutable [`Model::infer`](bitrobust_nn::Model::infer) path, and
 //! fans out over the thread pool through the campaign engine
 //! ([`crate::campaign`]). Clean evaluation is a single-pattern campaign
-//! (batches are the work items); robust evaluation is a multi-pattern one
-//! (chips × batches), either over a hand-built list of injectors
-//! ([`robust_eval`]) or over a [`crate::ChipAxis`] through
-//! [`crate::run_sweep`]. Results are byte-identical to the serial
-//! reference paths ([`evaluate_serial`], [`crate::Campaign::serial`]) at
-//! any thread count.
+//! (batches are the work items). Robust evaluation has one entry point,
+//! [`robust_eval`]: a one-model [`crate::run_sweep`] over a
+//! [`ChipAxis`] (rates × chips × batches), so every `RErr` row is a set of
+//! sweep cells with content-hash identities. Results are byte-identical to
+//! the serial reference paths ([`evaluate_serial`],
+//! [`crate::Campaign::serial`]) at any thread count.
 
-use bitrobust_biterror::ErrorInjector;
 use bitrobust_data::Dataset;
 use bitrobust_nn::{Mode, Model};
 use bitrobust_quant::QuantScheme;
@@ -85,24 +84,16 @@ pub fn evaluate_serial(
 }
 
 /// Evaluates the model after quantization (the clean `Err` the paper
-/// reports for quantized DNNs). The model itself is never written: the
-/// quantized weights go into a campaign replica, and batches fan out in
-/// parallel.
+/// reports for quantized DNNs) at [`EVAL_BATCH`] in [`Mode::Eval`]. The
+/// model itself is never written: the quantized weights go into a campaign
+/// replica, and batches fan out in parallel.
 ///
 /// # Panics
 ///
-/// As [`evaluate`].
-pub fn quantized_error(
-    model: &Model,
-    scheme: QuantScheme,
-    dataset: &Dataset,
-    batch_size: usize,
-    mode: Mode,
-) -> EvalResult {
+/// Panics if `dataset` is empty.
+pub fn quantized_error(model: &Model, scheme: QuantScheme, dataset: &Dataset) -> EvalResult {
     let q = QuantizedModel::quantize(model, scheme);
     crate::campaign::Campaign::new(model, dataset)
-        .batch_size(batch_size)
-        .mode(mode)
         .run(std::slice::from_ref(&q))
         .pop()
         .expect("single-image campaign yields one result")
@@ -149,63 +140,32 @@ impl RobustEval {
     }
 }
 
-/// Evaluates `RErr`: quantizes the model, then for each injector clones the
-/// quantized image, injects bit errors, and measures test error.
+/// `RErr` on every chip of `axis`: one [`RobustEval`] per rate, each
+/// aggregating that rate's chips (the paper's protocol: a fixed set of
+/// chips per rate, shared across models and rates so results are
+/// comparable).
 ///
-/// A thin wrapper over the parallel campaign engine
-/// ([`crate::Campaign`]): all (pattern, batch) work items fan out over
-/// the workspace thread pool, and the per-chip `errors` are bit-identical
-/// to the historical serial loop. The model is only read — patterns are
-/// written into scratch replicas, never the model.
+/// A store-free, one-model [`crate::run_sweep`] at
+/// [`SweepOptions::default`] ([`EVAL_BATCH`], [`Mode::Eval`]). The axis
+/// may be uniform chips at any rate grid (a one-chip axis is a single
+/// fixed pattern) or a profiled chip's voltage/offset span, and each
+/// (rate, chip) cell is bit-identical to the same cell of any larger
+/// sweep. The model is only read: patterns are written into scratch
+/// replicas, never the model.
 ///
-/// The injectors are the "chips": for the paper's headline numbers these
-/// are [`bitrobust_biterror::UniformChip`]s at a common rate `p` (see
-/// [`robust_eval_uniform`]);
-/// for the generalization experiments they are profiled chips at an
-/// operating voltage with varying memory offsets.
-pub fn robust_eval<I: ErrorInjector>(
+/// # Panics
+///
+/// Panics if `axis` has no rates or no chips per rate, or `dataset` is
+/// empty.
+pub fn robust_eval(
     model: &Model,
     scheme: QuantScheme,
     dataset: &Dataset,
-    injectors: &[I],
-    batch_size: usize,
-    mode: Mode,
-) -> RobustEval {
-    let q0 = QuantizedModel::quantize(model, scheme);
-    let results = crate::campaign::Campaign::new(model, dataset)
-        .batch_size(batch_size)
-        .mode(mode)
-        .run_cells(injectors.len(), |i| {
-            let mut q = q0.clone();
-            q.inject(&injectors[i]);
-            (0, q)
-        });
-    RobustEval::from_results(&results)
-}
-
-/// `RErr` against `n_chips` uniform random chips at rate `p` (the paper's
-/// default protocol: 50 chips, fixed seeds, shared across all models and
-/// rates so results are comparable).
-///
-/// A one-model, single-rate [`crate::run_sweep`] over a
-/// [`ChipAxis::Uniform`] — uniform grids are not a separate code path, so
-/// per-chip errors are bit-identical to the same cell of any larger sweep
-/// with the same seeds.
-#[allow(clippy::too_many_arguments)] // mirrors the paper's evaluation protocol knobs
-pub fn robust_eval_uniform(
-    model: &Model,
-    scheme: QuantScheme,
-    dataset: &Dataset,
-    p: f64,
-    n_chips: usize,
-    chip_seed_base: u64,
-    batch_size: usize,
-    mode: Mode,
-) -> RobustEval {
+    axis: ChipAxis,
+) -> Vec<RobustEval> {
     let models = [SweepModel::new("model", scheme, model)];
-    let axes = [SweepAxis::new("uniform", ChipAxis::uniform(vec![p], n_chips, chip_seed_base))];
-    let opts = SweepOptions { batch_size, mode };
-    run_sweep(&models, &axes, dataset, &opts, None, |_, _| {}).robust(0, 0).swap_remove(0)
+    let axes = [SweepAxis::new("axis", axis)];
+    run_sweep(&models, &axes, dataset, &SweepOptions::default(), None, |_, _| {}).robust(0, 0)
 }
 
 #[cfg(test)]
@@ -244,7 +204,7 @@ mod tests {
     fn quantized_error_leaves_weights_untouched() {
         let (model, test) = tiny_setup();
         let before = model.param_tensors();
-        let _ = quantized_error(&model, QuantScheme::rquant(8), &test, EVAL_BATCH, Mode::Eval);
+        let _ = quantized_error(&model, QuantScheme::rquant(8), &test);
         let after = model.param_tensors();
         for (a, b) in before.iter().zip(&after) {
             assert_eq!(a, b, "float weights must be untouched");
@@ -252,21 +212,29 @@ mod tests {
     }
 
     #[test]
-    fn robust_eval_produces_one_result_per_chip() {
+    fn robust_eval_produces_one_result_per_rate_and_chip() {
         let (model, test) = tiny_setup();
-        let r = robust_eval_uniform(
-            &model,
-            QuantScheme::rquant(8),
-            &test,
-            0.01,
-            5,
-            1000,
-            EVAL_BATCH,
-            Mode::Eval,
-        );
-        assert_eq!(r.errors.len(), 5);
-        assert!(r.mean_error >= 0.0 && r.mean_error <= 1.0);
-        assert!(r.std_error >= 0.0);
+        let axis = ChipAxis::uniform(vec![0.001, 0.01], 5, 1000);
+        let per_rate = robust_eval(&model, QuantScheme::rquant(8), &test, axis);
+        assert_eq!(per_rate.len(), 2);
+        for r in &per_rate {
+            assert_eq!(r.errors.len(), 5);
+            assert!(r.mean_error >= 0.0 && r.mean_error <= 1.0);
+            assert!(r.std_error >= 0.0);
+        }
+    }
+
+    /// A rate's chips do not depend on what else is on the axis: the
+    /// first chips at p = 1% are the same with and without other rates
+    /// and extra chips beside them.
+    #[test]
+    fn robust_eval_cells_are_independent_of_the_rest_of_the_axis() {
+        let (model, test) = tiny_setup();
+        let scheme = QuantScheme::rquant(8);
+        let alone = robust_eval(&model, scheme, &test, ChipAxis::uniform(vec![0.01], 2, 1000));
+        let wide = ChipAxis::uniform(vec![0.001, 0.01, 0.05], 4, 1000);
+        let within = robust_eval(&model, scheme, &test, wide);
+        assert_eq!(alone[0].errors, within[1].errors[..2]);
     }
 
     #[test]
@@ -291,33 +259,18 @@ mod tests {
     fn robust_eval_leaves_model_weights_untouched() {
         let (model, test) = tiny_setup();
         let before = model.param_tensors();
-        let _ = robust_eval_uniform(
-            &model,
-            QuantScheme::rquant(8),
-            &test,
-            0.05,
-            3,
-            1000,
-            EVAL_BATCH,
-            Mode::Eval,
-        );
+        let axis = ChipAxis::uniform(vec![0.05], 3, 1000);
+        let _ = robust_eval(&model, QuantScheme::rquant(8), &test, axis);
         assert_eq!(before, model.param_tensors());
     }
 
     #[test]
     fn zero_rate_matches_quantized_error() {
         let (model, test) = tiny_setup();
-        let clean = quantized_error(&model, QuantScheme::rquant(8), &test, EVAL_BATCH, Mode::Eval);
-        let robust = robust_eval_uniform(
-            &model,
-            QuantScheme::rquant(8),
-            &test,
-            0.0,
-            3,
-            1000,
-            EVAL_BATCH,
-            Mode::Eval,
-        );
+        let scheme = QuantScheme::rquant(8);
+        let clean = quantized_error(&model, scheme, &test);
+        let robust =
+            robust_eval(&model, scheme, &test, ChipAxis::uniform(vec![0.0], 3, 1000)).remove(0);
         assert!((robust.mean_error - clean.error).abs() < 1e-6);
         assert_eq!(robust.std_error, 0.0);
     }

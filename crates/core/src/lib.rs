@@ -22,18 +22,18 @@
 //!
 //! The crate also implements the non-generalizing fixed-pattern baseline
 //! (`PATTBET`, [`TrainMethod::PattBet`]), the `Err`/`RErr` evaluation
-//! protocol ([`evaluate`], [`robust_eval_uniform`]) backed by the parallel
-//! fault-injection [`campaign`] engine (the [`Campaign`] builder), the
-//! reusable fork-join [`scheduler`] every batch-parallel subsystem
-//! (campaigns, sweeps, data-parallel training, the `bitrobust-serve`
-//! inference service) runs through, the [`sweep`] orchestrator that runs
-//! every uniform or profiled-chip axis (multi-model × multi-axis
-//! campaigns, optionally checkpointed to a resumable on-disk
+//! protocol ([`evaluate`]; [`robust_eval`], a one-model [`run_sweep`])
+//! backed by the parallel fault-injection [`campaign`] engine (the
+//! [`Campaign`] builder), the reusable fork-join [`scheduler`] every
+//! batch-parallel subsystem (campaigns, sweeps, data-parallel training, the
+//! `bitrobust-serve` inference service) runs through, the [`sweep`]
+//! orchestrator that runs every uniform or profiled-chip axis (multi-model
+//! × multi-axis campaigns, optionally checkpointed to a resumable on-disk
 //! [`SweepStore`] — [`run_sweep`]), deterministic data-parallel training
-//! ([`TrainConfig::data_parallel`] → [`data_parallel`]),
-//! the Prop. 1 generalization bound ([`deviation_bound`]), and the energy
-//! trade-off analysis combining the SRAM voltage/energy models with
-//! measured RErr curves ([`energy_tradeoff`]).
+//! ([`TrainConfig::data_parallel`] → [`data_parallel`]), the Prop. 1
+//! generalization bound ([`deviation_bound`]), and the energy trade-off
+//! analysis combining the SRAM voltage/energy models with measured RErr
+//! curves ([`energy_tradeoff`]).
 //!
 //! # Examples
 //!
@@ -41,11 +41,10 @@
 //!
 //! ```no_run
 //! use bitrobust_core::{
-//!     build, robust_eval_uniform, train, ArchKind, NormKind, RandBetVariant, TrainConfig,
+//!     build, robust_eval, train, ArchKind, ChipAxis, NormKind, RandBetVariant, TrainConfig,
 //!     TrainMethod,
 //! };
 //! use bitrobust_data::SynthDataset;
-//! use bitrobust_nn::Mode;
 //! use bitrobust_quant::QuantScheme;
 //! use rand::SeedableRng;
 //!
@@ -61,9 +60,9 @@
 //!     variant: RandBetVariant::Standard,
 //! };
 //! let report = train(&mut model, &train_ds, &test_ds, &TrainConfig::new(Some(scheme), method));
-//! let robust =
-//!     robust_eval_uniform(&model, scheme, &test_ds, 0.01, 20, 1000, 128, Mode::Eval);
-//! println!("Err {:.2}% RErr {:.2}%", 100.0 * report.clean_error, 100.0 * robust.mean_error);
+//! // 20 uniform random chips (seeds 1000..1020) at p = 1%.
+//! let robust = robust_eval(&model, scheme, &test_ds, ChipAxis::uniform(vec![0.01], 20, 1000));
+//! println!("Err {:.2}% RErr {:.2}%", 100.0 * report.clean_error, 100.0 * robust[0].mean_error);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -90,8 +89,7 @@ pub use data_parallel::{DataParallel, TRAIN_SHARDS};
 pub use ecc::{apply_secded, multi_error_probability, DoubleErrorPolicy, EccStats, SecdedConfig};
 pub use energy::{best_saving_within, energy_tradeoff, TradeoffPoint};
 pub use eval::{
-    evaluate, evaluate_serial, quantized_error, robust_eval, robust_eval_uniform, EvalResult,
-    RobustEval, EVAL_BATCH,
+    evaluate, evaluate_serial, quantized_error, robust_eval, EvalResult, RobustEval, EVAL_BATCH,
 };
 pub use qmodel::QuantizedModel;
 pub use redundancy::{redundancy_metrics, relu_relevance, RedundancyMetrics};

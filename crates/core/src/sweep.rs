@@ -408,7 +408,7 @@ pub fn run_sweep(
 mod tests {
     use super::*;
     use crate::arch::{build, ArchKind, NormKind};
-    use crate::robust_eval_uniform;
+    use crate::robust_eval;
     use bitrobust_data::SynthDataset;
     use rand::SeedableRng;
 
@@ -457,17 +457,13 @@ mod tests {
         assert!(out.iter().flatten().all(|r| r.errors.len() == 3));
 
         // Each grid cell must equal the standalone uniform evaluation.
-        let standalone = robust_eval_uniform(
+        let standalone = robust_eval(
             &model,
             QuantScheme::rquant(8),
             &test,
-            0.01,
-            3,
-            1000,
-            EVAL_BATCH,
-            Mode::Eval,
+            ChipAxis::uniform(vec![0.01], 3, 1000),
         );
-        assert_eq!(out[0][1].errors, standalone.errors);
+        assert_eq!(out[0][1].errors, standalone[0].errors);
     }
 
     #[test]

@@ -399,7 +399,7 @@ pub fn train(
         model.clip_params(wmax);
     }
     let result = match cfg.scheme {
-        Some(scheme) => quantized_error(model, scheme, test_ds, EVAL_BATCH, Mode::Eval),
+        Some(scheme) => quantized_error(model, scheme, test_ds),
         None => evaluate(model, test_ds, EVAL_BATCH, Mode::Eval),
     };
     model.clear_caches();

@@ -4,9 +4,10 @@
 
 use std::time::Instant;
 
-use bitrobust_core::{ArchKind, NormKind, TrainMethod};
-use bitrobust_experiments::zoo::ZooSpec;
-use bitrobust_experiments::{dataset_pair, rerr_sweep, zoo_model, DatasetKind, ExpOptions, Table};
+use bitrobust_core::{robust_eval, ArchKind, NormKind, TrainMethod};
+use bitrobust_experiments::{
+    dataset_pair, protocol_axis, zoo_model, DatasetKind, ExpOptions, Table,
+};
 use bitrobust_quant::QuantScheme;
 
 fn main() {
@@ -14,16 +15,14 @@ fn main() {
     let mut table = Table::new(&["dataset", "arch", "params", "train s", "Err %", "RErr p=0.5% %"]);
 
     for kind in [DatasetKind::Mnist, DatasetKind::Cifar10, DatasetKind::Cifar100] {
-        let (train_ds, test_ds) = dataset_pair(kind, opts.seed);
-        let mut spec = ZooSpec::new(kind, Some(QuantScheme::rquant(8)), TrainMethod::Normal);
-        spec.epochs = opts.epochs(kind.default_epochs());
-        spec.seed = opts.seed;
+        let (_, test_ds) = dataset_pair(kind, opts.seed);
+        let scheme = QuantScheme::rquant(8);
+        let spec = opts.zoo_spec(kind, Some(scheme), TrainMethod::Normal);
         let start = Instant::now();
-        let (model, report) = zoo_model(&spec, &train_ds, &test_ds, opts.no_cache);
+        let (model, report) = zoo_model(&spec, opts.no_cache);
         let train_time = start.elapsed().as_secs_f64();
-        let robust =
-            rerr_sweep(&model, QuantScheme::rquant(8), &test_ds, &[0.005], opts.chips.min(10))
-                .remove(0);
+        let axis = protocol_axis(&[0.005], opts.chips.min(10));
+        let robust = robust_eval(&model, scheme, &test_ds, axis).remove(0);
         let arch_name = match spec.arch {
             ArchKind::SimpleNet => "simplenet",
             ArchKind::WideSimpleNet => "wide-simplenet",

@@ -8,10 +8,9 @@
 //!    prevent the DNN from converging"); the no-warm-up ablation injects
 //!    from step one.
 
-use bitrobust_core::{RandBetVariant, TrainMethod};
-use bitrobust_experiments::zoo::ZooSpec;
+use bitrobust_core::{robust_eval, RandBetVariant, TrainMethod};
 use bitrobust_experiments::{
-    dataset_pair, pct, pct_pm, rerr_sweep, zoo_model, DatasetKind, ExpOptions, Table,
+    dataset_pair, pct, pct_pm, protocol_axis, zoo_model, DatasetKind, ExpOptions, Table,
 };
 use bitrobust_quant::QuantScheme;
 
@@ -34,13 +33,8 @@ fn main() {
     ];
 
     for (name, variant, no_warmup) in configs {
-        let mut spec = ZooSpec::new(
-            DatasetKind::Cifar10,
-            Some(scheme),
-            TrainMethod::RandBet { wmax: Some(0.1), p: p_train, variant },
-        );
-        spec.epochs = opts.epochs(spec.epochs);
-        spec.seed = opts.seed;
+        let method = TrainMethod::RandBet { wmax: Some(0.1), p: p_train, variant };
+        let spec = opts.zoo_spec(DatasetKind::Cifar10, Some(scheme), method);
         // The zoo key does not encode the warm-up override, so bypass the
         // cache for the ablated run, but train it exactly as the zoo would.
         let (model, report) = if no_warmup {
@@ -50,9 +44,9 @@ fn main() {
             let report = bitrobust_core::train(&mut model, &train_ds, &test_ds, &cfg);
             (model, report)
         } else {
-            zoo_model(&spec, &train_ds, &test_ds, opts.no_cache)
+            zoo_model(&spec, opts.no_cache)
         };
-        let sweep = rerr_sweep(&model, scheme, &test_ds, &ps, opts.chips);
+        let sweep = robust_eval(&model, scheme, &test_ds, protocol_axis(&ps, opts.chips));
         let started =
             report.bit_errors_started_at.map_or("never".to_string(), |e| format!("epoch {e}"));
         let mut row = vec![name.to_string(), pct(report.clean_error as f64), started];

@@ -9,18 +9,17 @@
 
 use bitrobust_biterror::UniformChip;
 use bitrobust_core::{
-    apply_secded, multi_error_probability, Campaign, DoubleErrorPolicy, QuantizedModel,
-    RandBetVariant, SecdedConfig, TrainMethod,
+    apply_secded, multi_error_probability, robust_eval, Campaign, DoubleErrorPolicy,
+    QuantizedModel, RandBetVariant, SecdedConfig, TrainMethod,
 };
-use bitrobust_experiments::zoo::ZooSpec;
 use bitrobust_experiments::{
-    dataset_pair, pct, rerr_sweep, zoo_model, DatasetKind, ExpOptions, Table, CHIP_SEED,
+    dataset_pair, pct, protocol_axis, zoo_model, DatasetKind, ExpOptions, Table, CHIP_SEED,
 };
 use bitrobust_quant::QuantScheme;
 
 fn main() {
     let opts = ExpOptions::from_args();
-    let (train_ds, test_ds) = dataset_pair(DatasetKind::Cifar10, opts.seed);
+    let (_, test_ds) = dataset_pair(DatasetKind::Cifar10, opts.seed);
     let scheme = QuantScheme::rquant(8);
     let ps = [1e-3, 5e-3, 1e-2, 2.5e-2];
 
@@ -38,19 +37,13 @@ fn main() {
     println!("(Paper: 13.5% at p = 1% for 64-bit words.)\n");
 
     // Empirical comparison.
-    let mut rq_spec = ZooSpec::new(DatasetKind::Cifar10, Some(scheme), TrainMethod::Normal);
-    rq_spec.epochs = opts.epochs(rq_spec.epochs);
-    rq_spec.seed = opts.seed;
-    let (rquant, _) = zoo_model(&rq_spec, &train_ds, &test_ds, opts.no_cache);
+    let rq_spec = opts.zoo_spec(DatasetKind::Cifar10, Some(scheme), TrainMethod::Normal);
+    let (rquant, _) = zoo_model(&rq_spec, opts.no_cache);
 
-    let mut rb_spec = ZooSpec::new(
-        DatasetKind::Cifar10,
-        Some(scheme),
-        TrainMethod::RandBet { wmax: Some(0.1), p: 0.01, variant: RandBetVariant::Standard },
-    );
-    rb_spec.epochs = opts.epochs(rb_spec.epochs);
-    rb_spec.seed = opts.seed;
-    let (randbet, _) = zoo_model(&rb_spec, &train_ds, &test_ds, opts.no_cache);
+    let rb_method =
+        TrainMethod::RandBet { wmax: Some(0.1), p: 0.01, variant: RandBetVariant::Standard };
+    let rb_spec = opts.zoo_spec(DatasetKind::Cifar10, Some(scheme), rb_method);
+    let (randbet, _) = zoo_model(&rb_spec, opts.no_cache);
 
     let mut header = vec!["configuration".to_string()];
     header.extend(ps.iter().map(|p| format!("RErr p={:.1}%", 100.0 * p)));
@@ -60,7 +53,7 @@ fn main() {
     // RQuant, no protection.
     let mut row = vec!["RQUANT, no ECC".to_string()];
     row.extend(
-        rerr_sweep(&rquant, scheme, &test_ds, &ps, opts.chips)
+        robust_eval(&rquant, scheme, &test_ds, protocol_axis(&ps, opts.chips))
             .iter()
             .map(|r| pct(r.mean_error as f64)),
     );
@@ -79,7 +72,7 @@ fn main() {
     // RandBET, no protection.
     let mut row = vec!["RANDBET 0.1 p=1%, no ECC".to_string()];
     row.extend(
-        rerr_sweep(&randbet, scheme, &test_ds, &ps, opts.chips)
+        robust_eval(&randbet, scheme, &test_ds, protocol_axis(&ps, opts.chips))
             .iter()
             .map(|r| pct(r.mean_error as f64)),
     );

@@ -10,7 +10,6 @@ use bitrobust_core::{
     best_saving_within, energy_tradeoff, run_sweep, RandBetVariant, SweepAxis, SweepModel,
     SweepOptions, TrainMethod,
 };
-use bitrobust_experiments::zoo::ZooSpec;
 use bitrobust_experiments::{
     dataset_pair, p_grid_cifar, pct, pct_pm, protocol_axis, sweep_progress, zoo_model, DatasetKind,
     ExpOptions, Table,
@@ -20,7 +19,7 @@ use bitrobust_sram::{EnergyModel, VoltageErrorModel};
 
 fn main() {
     let opts = ExpOptions::from_args();
-    let (train_ds, test_ds) = dataset_pair(DatasetKind::Cifar10, opts.seed);
+    let (_, test_ds) = dataset_pair(DatasetKind::Cifar10, opts.seed);
     let ps = p_grid_cifar();
 
     let runs: Vec<(&str, QuantScheme, TrainMethod)> = vec![
@@ -47,10 +46,8 @@ fn main() {
     let axes = [SweepAxis::new("protocol", protocol_axis(&ps, opts.chips))];
     let mut best_curve: Option<(f64, Vec<(f64, f64)>)> = None;
     for (name, scheme, method) in runs {
-        let mut spec = ZooSpec::new(DatasetKind::Cifar10, Some(scheme), method);
-        spec.epochs = opts.epochs(spec.epochs);
-        spec.seed = opts.seed;
-        let (model, report) = zoo_model(&spec, &train_ds, &test_ds, opts.no_cache);
+        let spec = opts.zoo_spec(DatasetKind::Cifar10, Some(scheme), method);
+        let (model, report) = zoo_model(&spec, opts.no_cache);
         // Stream the campaign: one dot per (rate, chip) cell as it lands.
         eprint!("sweep {name}: ");
         let sweep = run_sweep(

@@ -11,28 +11,24 @@
 
 use bitrobust_biterror::UniformChip;
 use bitrobust_core::{QuantizedModel, TrainMethod};
-use bitrobust_experiments::zoo::ZooSpec;
-use bitrobust_experiments::{dataset_pair, zoo_model, DatasetKind, ExpOptions, Table, CHIP_SEED};
+use bitrobust_experiments::{zoo_model, DatasetKind, ExpOptions, Table, CHIP_SEED};
 use bitrobust_quant::QuantScheme;
 
 fn main() {
     let opts = ExpOptions::from_args();
-    let (train_ds, test_ds) = dataset_pair(DatasetKind::Cifar10, opts.seed);
 
     // One reference model trained with robust quantization, one with
     // 4-bit clipping (the right panel of Fig. 4).
-    let mut spec8 =
-        ZooSpec::new(DatasetKind::Cifar10, Some(QuantScheme::rquant(8)), TrainMethod::Normal);
-    spec8.epochs = opts.epochs(spec8.epochs);
-    let (mut model8, _) = zoo_model(&spec8, &train_ds, &test_ds, opts.no_cache);
+    let spec8 =
+        opts.zoo_spec(DatasetKind::Cifar10, Some(QuantScheme::rquant(8)), TrainMethod::Normal);
+    let (mut model8, _) = zoo_model(&spec8, opts.no_cache);
 
-    let mut spec4 = ZooSpec::new(
+    let spec4 = opts.zoo_spec(
         DatasetKind::Cifar10,
         Some(QuantScheme::rquant(4)),
         TrainMethod::Clipping { wmax: 0.1 },
     );
-    spec4.epochs = opts.epochs(spec4.epochs);
-    let (mut model4, _) = zoo_model(&spec4, &train_ds, &test_ds, opts.no_cache);
+    let (mut model4, _) = zoo_model(&spec4, opts.no_cache);
 
     let p = 0.025;
     println!("Fig. 4: weight perturbations under p = {:.1}% random bit errors\n", 100.0 * p);

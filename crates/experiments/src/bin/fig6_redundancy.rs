@@ -7,16 +7,17 @@
 //! activations after the last ReLU, measured over all test images under
 //! the clean quantized weights.
 
-use bitrobust_core::{redundancy_metrics, relu_relevance, RandBetVariant, TrainMethod, EVAL_BATCH};
-use bitrobust_experiments::zoo::ZooSpec;
+use bitrobust_core::{
+    redundancy_metrics, relu_relevance, robust_eval, RandBetVariant, TrainMethod, EVAL_BATCH,
+};
 use bitrobust_experiments::{
-    dataset_pair, pct, rerr_sweep, zoo_model, DatasetKind, ExpOptions, Table, CHIP_SEED,
+    dataset_pair, pct, protocol_axis, zoo_model, DatasetKind, ExpOptions, Table, CHIP_SEED,
 };
 use bitrobust_quant::QuantScheme;
 
 fn main() {
     let opts = ExpOptions::from_args();
-    let (train_ds, test_ds) = dataset_pair(DatasetKind::Cifar10, opts.seed);
+    let (_, test_ds) = dataset_pair(DatasetKind::Cifar10, opts.seed);
     let scheme = QuantScheme::rquant(8);
     let p = 0.01;
 
@@ -42,12 +43,11 @@ fn main() {
         "ReLU relevance",
     ]);
     for (name, method) in configs {
-        let mut spec = ZooSpec::new(DatasetKind::Cifar10, Some(scheme), method);
-        spec.epochs = opts.epochs(spec.epochs);
-        spec.seed = opts.seed;
-        let (model, report) = zoo_model(&spec, &train_ds, &test_ds, opts.no_cache);
+        let spec = opts.zoo_spec(DatasetKind::Cifar10, Some(scheme), method);
+        let (model, report) = zoo_model(&spec, opts.no_cache);
 
-        let robust = rerr_sweep(&model, scheme, &test_ds, &[p], opts.chips).remove(0);
+        let robust =
+            robust_eval(&model, scheme, &test_ds, protocol_axis(&[p], opts.chips)).remove(0);
         let red = redundancy_metrics(&model, scheme, p, opts.chips.min(5), CHIP_SEED);
         let relu = relu_relevance(&model, scheme, &test_ds, EVAL_BATCH);
 

@@ -92,15 +92,10 @@ fn run_dataset(kind: DatasetKind, opts: &ExpOptions) {
     // evaluate every model's rate grid as one durable sweep campaign.
     let specs: Vec<ZooSpec> = runs
         .iter()
-        .map(|(_, scheme, method)| {
-            let mut spec = ZooSpec::new(kind, Some(*scheme), *method);
-            spec.epochs = opts.epochs(spec.epochs);
-            spec.seed = opts.seed;
-            spec
-        })
+        .map(|(_, scheme, method)| opts.zoo_spec(kind, Some(*scheme), *method))
         .collect();
     eprintln!("warming {} {} zoo models...", specs.len(), kind.name());
-    let warmed = warm_zoo(&specs, opts.seed, opts.no_cache);
+    let warmed = warm_zoo(&specs, opts.no_cache);
 
     let models = sweep_models(&specs, &warmed);
     let axes = vec![SweepAxis::new("uniform", protocol_axis(&ps, opts.chips))];

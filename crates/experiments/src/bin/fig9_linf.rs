@@ -3,14 +3,13 @@
 
 use bitrobust_biterror::hash_unit;
 use bitrobust_core::{evaluate, TrainMethod, EVAL_BATCH};
-use bitrobust_experiments::zoo::ZooSpec;
 use bitrobust_experiments::{dataset_pair, pct, zoo_model, DatasetKind, ExpOptions, Table};
 use bitrobust_nn::{Mode, Model};
 use bitrobust_quant::QuantScheme;
 
 fn main() {
     let opts = ExpOptions::from_args();
-    let (train_ds, test_ds) = dataset_pair(DatasetKind::Cifar10, opts.seed);
+    let (_, test_ds) = dataset_pair(DatasetKind::Cifar10, opts.seed);
     let scheme = QuantScheme::rquant(8);
     let magnitudes = [0.0, 0.05, 0.10, 0.20, 0.30];
     let n_draws = opts.chips.min(10);
@@ -28,10 +27,8 @@ fn main() {
     let mut table = Table::new(&header_refs);
 
     for (name, method) in configs {
-        let mut spec = ZooSpec::new(DatasetKind::Cifar10, Some(scheme), method);
-        spec.epochs = opts.epochs(spec.epochs);
-        spec.seed = opts.seed;
-        let (mut model, _) = zoo_model(&spec, &train_ds, &test_ds, opts.no_cache);
+        let spec = opts.zoo_spec(DatasetKind::Cifar10, Some(scheme), method);
+        let (mut model, _) = zoo_model(&spec, opts.no_cache);
         let mut row = vec![name.to_string()];
         for &mag in &magnitudes {
             let mut sum = 0f64;

@@ -6,7 +6,6 @@
 //! are what break.
 
 use bitrobust_core::{run_sweep, NormKind, SweepAxis, SweepModel, SweepOptions, TrainMethod};
-use bitrobust_experiments::zoo::ZooSpec;
 use bitrobust_experiments::{
     dataset_pair, pct, pct_pm, protocol_axis, zoo_model, DatasetKind, ExpOptions, Table,
 };
@@ -15,7 +14,7 @@ use bitrobust_quant::QuantScheme;
 
 fn main() {
     let opts = ExpOptions::from_args();
-    let (train_ds, test_ds) = dataset_pair(DatasetKind::Cifar10, opts.seed);
+    let (_, test_ds) = dataset_pair(DatasetKind::Cifar10, opts.seed);
     let scheme = QuantScheme::rquant(8);
     let ps = [1e-3, 5e-3];
 
@@ -59,18 +58,16 @@ fn main() {
         let idx = match have {
             Some(i) => i,
             None => {
-                let mut spec = ZooSpec::new(DatasetKind::Cifar10, Some(scheme), method);
+                let mut spec = opts.zoo_spec(DatasetKind::Cifar10, Some(scheme), method);
                 spec.norm = norm;
-                spec.epochs = opts.epochs(spec.epochs);
-                spec.seed = opts.seed;
-                let (model, report) = zoo_model(&spec, &train_ds, &test_ds, opts.no_cache);
+                let (model, report) = zoo_model(&spec, opts.no_cache);
                 cache.push(((norm, method_key), model, report.clean_error));
                 cache.len() - 1
             }
         };
         let (_, model, clean_err) = &cache[idx];
         // Batch-statistics rows need their own inference mode, so this
-        // sweep sets it instead of going through `rerr_sweep`.
+        // sweep sets it instead of going through `robust_eval`.
         let models = [SweepModel::new(name.as_str(), scheme, model)];
         let axes = [SweepAxis::new("protocol", protocol_axis(&ps, opts.chips))];
         let sweep_opts = SweepOptions { mode, ..Default::default() };

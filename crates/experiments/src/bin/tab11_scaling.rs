@@ -12,30 +12,25 @@
 //! therefore preserved, exactly as in the paper's fixed-scale GroupNorm
 //! setup.
 
-use bitrobust_core::{TrainMethod, EVAL_BATCH};
-use bitrobust_experiments::zoo::ZooSpec;
+use bitrobust_core::{quantized_error, robust_eval, TrainMethod};
 use bitrobust_experiments::{
-    dataset_pair, pct, pct_pm, rerr_sweep, zoo_model, DatasetKind, ExpOptions, Table,
+    dataset_pair, pct, pct_pm, protocol_axis, zoo_model, DatasetKind, ExpOptions, Table,
 };
-use bitrobust_nn::{Mode, ParamKind};
+use bitrobust_nn::ParamKind;
 use bitrobust_quant::QuantScheme;
 
 fn main() {
     let opts = ExpOptions::from_args();
-    let (train_ds, test_ds) = dataset_pair(DatasetKind::Cifar10, opts.seed);
+    let (_, test_ds) = dataset_pair(DatasetKind::Cifar10, opts.seed);
     let scheme = QuantScheme::rquant(8);
     let ps = [1e-3, 1e-2];
 
-    let mut rq_spec = ZooSpec::new(DatasetKind::Cifar10, Some(scheme), TrainMethod::Normal);
-    rq_spec.epochs = opts.epochs(rq_spec.epochs);
-    rq_spec.seed = opts.seed;
-    let (mut rquant, rq_report) = zoo_model(&rq_spec, &train_ds, &test_ds, opts.no_cache);
+    let rq_spec = opts.zoo_spec(DatasetKind::Cifar10, Some(scheme), TrainMethod::Normal);
+    let (mut rquant, rq_report) = zoo_model(&rq_spec, opts.no_cache);
 
-    let mut clip_spec =
-        ZooSpec::new(DatasetKind::Cifar10, Some(scheme), TrainMethod::Clipping { wmax: 0.25 });
-    clip_spec.epochs = opts.epochs(clip_spec.epochs);
-    clip_spec.seed = opts.seed;
-    let (mut clipped, clip_report) = zoo_model(&clip_spec, &train_ds, &test_ds, opts.no_cache);
+    let clip_method = TrainMethod::Clipping { wmax: 0.25 };
+    let clip_spec = opts.zoo_spec(DatasetKind::Cifar10, Some(scheme), clip_method);
+    let (mut clipped, clip_report) = zoo_model(&clip_spec, opts.no_cache);
 
     // Scale factor: bring RQuant's largest conv/linear weight down to the
     // clipped model's largest.
@@ -50,8 +45,8 @@ fn main() {
     };
     let factor = max_weight(&mut clipped) / max_weight(&mut rquant);
     let mut scaled = {
-        // Rebuild the RQuant model and scale its conv/linear params.
-        let (mut model, _) = zoo_model(&rq_spec, &train_ds, &test_ds, false);
+        // Copy the RQuant model and scale its conv/linear params.
+        let mut model = rquant.clone();
         model.visit_params(&mut |p| {
             if matches!(p.kind(), ParamKind::Weight | ParamKind::Bias) {
                 p.value_mut().scale(factor);
@@ -69,10 +64,9 @@ fn main() {
         let clean = if clean >= 0.0 {
             clean
         } else {
-            bitrobust_core::quantized_error(model, scheme, &test_ds, EVAL_BATCH, Mode::Eval).error
-                as f64
+            quantized_error(model, scheme, &test_ds).error as f64
         };
-        let r = rerr_sweep(model, scheme, &test_ds, &ps, opts.chips);
+        let r = robust_eval(model, scheme, &test_ds, protocol_axis(&ps, opts.chips));
         table.row_owned(vec![
             name.into(),
             pct(clean),

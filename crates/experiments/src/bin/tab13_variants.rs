@@ -4,16 +4,15 @@
 //! training bit error rate) and the alternating two-update scheme. The
 //! paper finds both variants slightly *worse* than the standard recipe.
 
-use bitrobust_core::{RandBetVariant, TrainMethod};
-use bitrobust_experiments::zoo::ZooSpec;
+use bitrobust_core::{robust_eval, RandBetVariant, TrainMethod};
 use bitrobust_experiments::{
-    dataset_pair, pct, pct_pm, rerr_sweep, zoo_model, DatasetKind, ExpOptions, Table,
+    dataset_pair, pct, pct_pm, protocol_axis, zoo_model, DatasetKind, ExpOptions, Table,
 };
 use bitrobust_quant::QuantScheme;
 
 fn main() {
     let opts = ExpOptions::from_args();
-    let (train_ds, test_ds) = dataset_pair(DatasetKind::Cifar10, opts.seed);
+    let (_, test_ds) = dataset_pair(DatasetKind::Cifar10, opts.seed);
     let scheme = QuantScheme::rquant(8);
     let ps = [1e-3, 1e-2];
 
@@ -27,15 +26,10 @@ fn main() {
         ("Curricular RANDBET p=1%", RandBetVariant::Curricular),
         ("Alternating RANDBET p=1%", RandBetVariant::Alternating),
     ] {
-        let mut spec = ZooSpec::new(
-            DatasetKind::Cifar10,
-            Some(scheme),
-            TrainMethod::RandBet { wmax: Some(0.1), p: 0.01, variant },
-        );
-        spec.epochs = opts.epochs(spec.epochs);
-        spec.seed = opts.seed;
-        let (model, report) = zoo_model(&spec, &train_ds, &test_ds, opts.no_cache);
-        let sweep = rerr_sweep(&model, scheme, &test_ds, &ps, opts.chips);
+        let method = TrainMethod::RandBet { wmax: Some(0.1), p: 0.01, variant };
+        let spec = opts.zoo_spec(DatasetKind::Cifar10, Some(scheme), method);
+        let (model, report) = zoo_model(&spec, opts.no_cache);
+        let sweep = robust_eval(&model, scheme, &test_ds, protocol_axis(&ps, opts.chips));
         let mut row = vec![name.to_string(), pct(report.clean_error as f64)];
         row.extend(sweep.iter().map(|r| pct_pm(r.mean_error as f64, r.std_error as f64)));
         table.row_owned(row);

@@ -1,15 +1,14 @@
 //! **Tab. 14 / App. G.7** — Clipping and RandBET work on ResNets too.
 
-use bitrobust_core::{ArchKind, RandBetVariant, TrainMethod};
-use bitrobust_experiments::zoo::ZooSpec;
+use bitrobust_core::{robust_eval, ArchKind, RandBetVariant, TrainMethod};
 use bitrobust_experiments::{
-    dataset_pair, pct, pct_pm, rerr_sweep, zoo_model, DatasetKind, ExpOptions, Table,
+    dataset_pair, pct, pct_pm, protocol_axis, zoo_model, DatasetKind, ExpOptions, Table,
 };
 use bitrobust_quant::QuantScheme;
 
 fn main() {
     let opts = ExpOptions::from_args();
-    let (train_ds, test_ds) = dataset_pair(DatasetKind::Cifar10, opts.seed);
+    let (_, test_ds) = dataset_pair(DatasetKind::Cifar10, opts.seed);
     let scheme = QuantScheme::rquant(8);
     let ps = [5e-3, 1.5e-2];
 
@@ -27,12 +26,10 @@ fn main() {
         ),
     ];
     for (name, method) in methods {
-        let mut spec = ZooSpec::new(DatasetKind::Cifar10, Some(scheme), method);
+        let mut spec = opts.zoo_spec(DatasetKind::Cifar10, Some(scheme), method);
         spec.arch = ArchKind::ResNetMini;
-        spec.epochs = opts.epochs(spec.epochs);
-        spec.seed = opts.seed;
-        let (model, report) = zoo_model(&spec, &train_ds, &test_ds, opts.no_cache);
-        let sweep = rerr_sweep(&model, scheme, &test_ds, &ps, opts.chips);
+        let (model, report) = zoo_model(&spec, opts.no_cache);
+        let sweep = robust_eval(&model, scheme, &test_ds, protocol_axis(&ps, opts.chips));
         let mut row = vec![name.to_string(), pct(report.clean_error as f64)];
         row.extend(sweep.iter().map(|r| pct_pm(r.mean_error as f64, r.std_error as f64)));
         table.row_owned(row);

@@ -6,16 +6,15 @@
 //! for the actual `(n, l)`; the paper's observation is that the empirical
 //! estimate barely moves when `l` grows, well within the bound.
 
-use bitrobust_core::{deviation_bound, RandBetVariant, TrainMethod};
-use bitrobust_experiments::zoo::ZooSpec;
+use bitrobust_core::{deviation_bound, robust_eval, RandBetVariant, TrainMethod};
 use bitrobust_experiments::{
-    dataset_pair, pct_pm, rerr_sweep, zoo_model, DatasetKind, ExpOptions, Table,
+    dataset_pair, pct_pm, protocol_axis, zoo_model, DatasetKind, ExpOptions, Table,
 };
 use bitrobust_quant::QuantScheme;
 
 fn main() {
     let opts = ExpOptions::from_args();
-    let (train_ds, test_ds) = dataset_pair(DatasetKind::Cifar10, opts.seed);
+    let (_, test_ds) = dataset_pair(DatasetKind::Cifar10, opts.seed);
     let scheme = QuantScheme::rquant(8);
     let p = 0.01;
     let l_small = opts.chips;
@@ -33,12 +32,10 @@ fn main() {
     let mut table =
         Table::new(&["model", &format!("RErr l={l_small}"), &format!("RErr l={l_large}")]);
     for (name, method) in methods {
-        let mut spec = ZooSpec::new(DatasetKind::Cifar10, Some(scheme), method);
-        spec.epochs = opts.epochs(spec.epochs);
-        spec.seed = opts.seed;
-        let (model, _) = zoo_model(&spec, &train_ds, &test_ds, opts.no_cache);
-        let small = rerr_sweep(&model, scheme, &test_ds, &[p], l_small).remove(0);
-        let large = rerr_sweep(&model, scheme, &test_ds, &[p], l_large).remove(0);
+        let spec = opts.zoo_spec(DatasetKind::Cifar10, Some(scheme), method);
+        let (model, _) = zoo_model(&spec, opts.no_cache);
+        let small = robust_eval(&model, scheme, &test_ds, protocol_axis(&[p], l_small)).remove(0);
+        let large = robust_eval(&model, scheme, &test_ds, protocol_axis(&[p], l_large)).remove(0);
         table.row_owned(vec![
             name.into(),
             pct_pm(small.mean_error as f64, small.std_error as f64),

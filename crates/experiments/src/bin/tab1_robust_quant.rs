@@ -6,16 +6,15 @@
 //! 4-bit truncation-vs-rounding contrast (trained with clipping 0.1, as in
 //! the paper's footnote).
 
-use bitrobust_core::TrainMethod;
-use bitrobust_experiments::zoo::ZooSpec;
+use bitrobust_core::{robust_eval, TrainMethod};
 use bitrobust_experiments::{
-    dataset_pair, pct, pct_pm, rerr_sweep, zoo_model, DatasetKind, ExpOptions, Table,
+    dataset_pair, pct, pct_pm, protocol_axis, zoo_model, DatasetKind, ExpOptions, Table,
 };
 use bitrobust_quant::QuantScheme;
 
 fn main() {
     let opts = ExpOptions::from_args();
-    let (train_ds, test_ds) = dataset_pair(DatasetKind::Cifar10, opts.seed);
+    let (_, test_ds) = dataset_pair(DatasetKind::Cifar10, opts.seed);
     let ps = [1e-4, 5e-4, 1e-3, 5e-3, 1e-2, 1.5e-2];
 
     let schemes8: Vec<(&str, QuantScheme)> = vec![
@@ -32,11 +31,9 @@ fn main() {
     let mut table = Table::new(&header_refs);
 
     for (name, scheme) in &schemes8 {
-        let mut spec = ZooSpec::new(DatasetKind::Cifar10, Some(*scheme), TrainMethod::Normal);
-        spec.epochs = opts.epochs(spec.epochs);
-        spec.seed = opts.seed;
-        let (model, report) = zoo_model(&spec, &train_ds, &test_ds, opts.no_cache);
-        let sweep = rerr_sweep(&model, *scheme, &test_ds, &ps, opts.chips);
+        let spec = opts.zoo_spec(DatasetKind::Cifar10, Some(*scheme), TrainMethod::Normal);
+        let (model, report) = zoo_model(&spec, opts.no_cache);
+        let sweep = robust_eval(&model, *scheme, &test_ds, protocol_axis(&ps, opts.chips));
         let mut row = vec![name.to_string(), pct(report.clean_error as f64)];
         row.extend(sweep.iter().map(|r| pct_pm(r.mean_error as f64, r.std_error as f64)));
         table.row_owned(row);
@@ -50,12 +47,10 @@ fn main() {
     ];
     let mut table = Table::new(&header_refs);
     for (name, scheme) in &schemes4 {
-        let mut spec =
-            ZooSpec::new(DatasetKind::Cifar10, Some(*scheme), TrainMethod::Clipping { wmax: 0.1 });
-        spec.epochs = opts.epochs(spec.epochs);
-        spec.seed = opts.seed;
-        let (model, report) = zoo_model(&spec, &train_ds, &test_ds, opts.no_cache);
-        let sweep = rerr_sweep(&model, *scheme, &test_ds, &ps, opts.chips);
+        let method = TrainMethod::Clipping { wmax: 0.1 };
+        let spec = opts.zoo_spec(DatasetKind::Cifar10, Some(*scheme), method);
+        let (model, report) = zoo_model(&spec, opts.no_cache);
+        let sweep = robust_eval(&model, *scheme, &test_ds, protocol_axis(&ps, opts.chips));
         let mut row = vec![name.to_string(), pct(report.clean_error as f64)];
         row.extend(sweep.iter().map(|r| pct_pm(r.mean_error as f64, r.std_error as f64)));
         table.row_owned(row);

@@ -5,16 +5,15 @@
 //! and reports clean Err, clean confidence, confidence under `p = 1%` bit
 //! errors, and RErr at `p ∈ {0.1%, 1%}`.
 
-use bitrobust_core::TrainMethod;
-use bitrobust_experiments::zoo::ZooSpec;
+use bitrobust_core::{robust_eval, TrainMethod};
 use bitrobust_experiments::{
-    dataset_pair, pct, pct_pm, rerr_sweep, zoo_model, DatasetKind, ExpOptions, Table,
+    dataset_pair, pct, pct_pm, protocol_axis, zoo_model, DatasetKind, ExpOptions, Table,
 };
 use bitrobust_quant::QuantScheme;
 
 fn main() {
     let opts = ExpOptions::from_args();
-    let (train_ds, test_ds) = dataset_pair(DatasetKind::Cifar10, opts.seed);
+    let (_, test_ds) = dataset_pair(DatasetKind::Cifar10, opts.seed);
     let scheme = QuantScheme::rquant(8);
 
     let configs: Vec<(String, TrainMethod, Option<f32>)> = vec![
@@ -31,12 +30,10 @@ fn main() {
     let mut table =
         Table::new(&["model", "Err %", "Conf %", "Conf p=1%", "RErr p=0.1%", "RErr p=1%"]);
     for (name, method, ls) in configs {
-        let mut spec = ZooSpec::new(DatasetKind::Cifar10, Some(scheme), method);
+        let mut spec = opts.zoo_spec(DatasetKind::Cifar10, Some(scheme), method);
         spec.label_smoothing = ls;
-        spec.epochs = opts.epochs(spec.epochs);
-        spec.seed = opts.seed;
-        let (model, report) = zoo_model(&spec, &train_ds, &test_ds, opts.no_cache);
-        let r = rerr_sweep(&model, scheme, &test_ds, &[1e-3, 1e-2], opts.chips);
+        let (model, report) = zoo_model(&spec, opts.no_cache);
+        let r = robust_eval(&model, scheme, &test_ds, protocol_axis(&[1e-3, 1e-2], opts.chips));
         let (r_small, r_large) = (&r[0], &r[1]);
         table.row_owned(vec![
             name,

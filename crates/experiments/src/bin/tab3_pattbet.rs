@@ -12,20 +12,17 @@
 //! The `RANDBET` row shows the contrast: trained on fresh random errors,
 //! it generalizes to both.
 
-use bitrobust_biterror::UniformChip;
-use bitrobust_core::{robust_eval, PattPattern, RandBetVariant, TrainMethod, EVAL_BATCH};
-use bitrobust_experiments::zoo::ZooSpec;
+use bitrobust_core::{robust_eval, ChipAxis, PattPattern, RandBetVariant, TrainMethod};
 use bitrobust_experiments::{
-    dataset_pair, pct, rerr_sweep, zoo_model, DatasetKind, ExpOptions, Table,
+    dataset_pair, pct, protocol_axis, zoo_model, DatasetKind, ExpOptions, Table,
 };
-use bitrobust_nn::Mode;
 use bitrobust_quant::QuantScheme;
 
 const FIXED_CHIP_SEED: u64 = 777_777;
 
 fn main() {
     let opts = ExpOptions::from_args();
-    let (train_ds, test_ds) = dataset_pair(DatasetKind::Cifar10, opts.seed);
+    let (_, test_ds) = dataset_pair(DatasetKind::Cifar10, opts.seed);
     let scheme = QuantScheme::rquant(8);
     let (p_train, p_low) = (0.025, 0.01);
 
@@ -63,31 +60,22 @@ fn main() {
         "random p=2.5%",
     ]);
     for (name, method) in configs {
-        let mut spec = ZooSpec::new(DatasetKind::Cifar10, Some(scheme), method);
-        spec.epochs = opts.epochs(spec.epochs);
-        spec.seed = opts.seed;
-        let (model, report) = zoo_model(&spec, &train_ds, &test_ds, opts.no_cache);
+        let spec = opts.zoo_spec(DatasetKind::Cifar10, Some(scheme), method);
+        let (model, report) = zoo_model(&spec, opts.no_cache);
 
-        // Evaluation on the exact trained pattern: same chip seed. Lower
-        // rates are subsets of the trained pattern by construction.
-        let fixed = UniformChip::new(FIXED_CHIP_SEED);
-        let same_low =
-            robust_eval(&model, scheme, &test_ds, &[fixed.at_rate(p_low)], EVAL_BATCH, Mode::Eval);
-        let same_train = robust_eval(
-            &model,
-            scheme,
-            &test_ds,
-            &[fixed.at_rate(p_train)],
-            EVAL_BATCH,
-            Mode::Eval,
-        );
+        // Evaluation on the exact trained pattern: a one-chip axis whose
+        // chip 0 is the trained chip. Lower rates are subsets of the
+        // trained pattern by construction.
+        let fixed = ChipAxis::uniform(vec![p_low, p_train], 1, FIXED_CHIP_SEED);
+        let same = robust_eval(&model, scheme, &test_ds, fixed);
         // Evaluation on unseen random patterns.
-        let random = rerr_sweep(&model, scheme, &test_ds, &[p_low, p_train], opts.chips);
+        let random =
+            robust_eval(&model, scheme, &test_ds, protocol_axis(&[p_low, p_train], opts.chips));
         table.row_owned(vec![
             name,
             pct(report.clean_error as f64),
-            pct(same_low.mean_error as f64),
-            pct(same_train.mean_error as f64),
+            pct(same[0].mean_error as f64),
+            pct(same[1].mean_error as f64),
             pct(random[0].mean_error as f64),
             pct(random[1].mean_error as f64),
         ]);

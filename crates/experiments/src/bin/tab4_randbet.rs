@@ -48,15 +48,10 @@ fn main() {
 
     let specs: Vec<ZooSpec> = runs
         .iter()
-        .map(|(_, scheme, method)| {
-            let mut spec = ZooSpec::new(DatasetKind::Cifar10, Some(*scheme), *method);
-            spec.epochs = opts.epochs(spec.epochs);
-            spec.seed = opts.seed;
-            spec
-        })
+        .map(|(_, scheme, method)| opts.zoo_spec(DatasetKind::Cifar10, Some(*scheme), *method))
         .collect();
     eprintln!("warming {} cifar10 zoo models...", specs.len());
-    let warmed = warm_zoo(&specs, opts.seed, opts.no_cache);
+    let warmed = warm_zoo(&specs, opts.no_cache);
 
     let models = sweep_models(&specs, &warmed);
     let axes = vec![SweepAxis::new("uniform", protocol_axis(&ps, opts.chips))];

@@ -41,15 +41,10 @@ fn main() {
 
     let specs: Vec<ZooSpec> = methods
         .iter()
-        .map(|(_, method)| {
-            let mut spec = ZooSpec::new(DatasetKind::Cifar10, Some(scheme), *method);
-            spec.epochs = opts.epochs(spec.epochs);
-            spec.seed = opts.seed;
-            spec
-        })
+        .map(|(_, method)| opts.zoo_spec(DatasetKind::Cifar10, Some(scheme), *method))
         .collect();
     eprintln!("warming {} cifar10 zoo models...", specs.len());
-    let warmed = warm_zoo(&specs, opts.seed, opts.no_cache);
+    let warmed = warm_zoo(&specs, opts.no_cache);
 
     // One axis per profiled chip: rates resolve to operating voltages,
     // offsets vary the weight-to-memory mapping (the Tab. 5 protocol).

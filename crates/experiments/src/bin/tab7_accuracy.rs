@@ -5,23 +5,16 @@
 //! normalization comparison (SimpleNet vs ResNet, GroupNorm vs BatchNorm).
 
 use bitrobust_core::{ArchKind, NormKind, TrainMethod};
-use bitrobust_experiments::zoo::ZooSpec;
-use bitrobust_experiments::{dataset_pair, pct, zoo_model, DatasetKind, ExpOptions, Table};
+use bitrobust_experiments::{pct, zoo_model, DatasetKind, ExpOptions, Table};
 use bitrobust_quant::QuantScheme;
 
 fn main() {
     let opts = ExpOptions::from_args();
-    let (train_ds, test_ds) = dataset_pair(DatasetKind::Cifar10, opts.seed);
 
     // Precision sweep.
     let mut table = Table::new(&["precision m", "method", "Err %"]);
-    let float_spec = {
-        let mut s = ZooSpec::new(DatasetKind::Cifar10, None, TrainMethod::Normal);
-        s.epochs = opts.epochs(s.epochs);
-        s.seed = opts.seed;
-        s
-    };
-    let (_m, float_report) = zoo_model(&float_spec, &train_ds, &test_ds, opts.no_cache);
+    let float_spec = opts.zoo_spec(DatasetKind::Cifar10, None, TrainMethod::Normal);
+    let (_m, float_report) = zoo_model(&float_spec, opts.no_cache);
     table.row_owned(vec!["float".into(), "NORMAL".into(), pct(float_report.clean_error as f64)]);
     for (m, method, label) in [
         (8u8, TrainMethod::Normal, "RQUANT"),
@@ -29,10 +22,8 @@ fn main() {
         (3, TrainMethod::Clipping { wmax: 0.1 }, "CLIPPING 0.1"),
         (2, TrainMethod::Clipping { wmax: 0.1 }, "CLIPPING 0.1"),
     ] {
-        let mut spec = ZooSpec::new(DatasetKind::Cifar10, Some(QuantScheme::rquant(m)), method);
-        spec.epochs = opts.epochs(spec.epochs);
-        spec.seed = opts.seed;
-        let (_, report) = zoo_model(&spec, &train_ds, &test_ds, opts.no_cache);
+        let spec = opts.zoo_spec(DatasetKind::Cifar10, Some(QuantScheme::rquant(m)), method);
+        let (_, report) = zoo_model(&spec, opts.no_cache);
         table.row_owned(vec![format!("{m}"), label.into(), pct(report.clean_error as f64)]);
     }
     println!("Tab. 7 (left) — precision sweep on the CIFAR10 stand-in:\n{}", table.render());
@@ -43,16 +34,14 @@ fn main() {
         [(ArchKind::SimpleNet, "simplenet"), (ArchKind::ResNetMini, "resnet-mini")]
     {
         for (norm, norm_name) in [(NormKind::Group, "GN"), (NormKind::Batch, "BN")] {
-            let mut spec = ZooSpec::new(
+            let mut spec = opts.zoo_spec(
                 DatasetKind::Cifar10,
                 Some(QuantScheme::rquant(8)),
                 TrainMethod::Normal,
             );
             spec.arch = arch;
             spec.norm = norm;
-            spec.epochs = opts.epochs(spec.epochs);
-            spec.seed = opts.seed;
-            let (_, report) = zoo_model(&spec, &train_ds, &test_ds, opts.no_cache);
+            let (_, report) = zoo_model(&spec, opts.no_cache);
             table.row_owned(vec![
                 arch_name.into(),
                 norm_name.into(),
@@ -63,17 +52,14 @@ fn main() {
     println!("Tab. 7 (right) — architecture comparison (m = 8):\n{}", table.render());
 
     // CIFAR100 stand-in: default vs wide model.
-    let (train100, test100) = dataset_pair(DatasetKind::Cifar100, opts.seed);
     let mut table = Table::new(&["model", "Err %"]);
     for (arch, name) in
         [(ArchKind::SimpleNet, "simplenet"), (ArchKind::WideSimpleNet, "wide (WRN sub)")]
     {
         let mut spec =
-            ZooSpec::new(DatasetKind::Cifar100, Some(QuantScheme::rquant(8)), TrainMethod::Normal);
+            opts.zoo_spec(DatasetKind::Cifar100, Some(QuantScheme::rquant(8)), TrainMethod::Normal);
         spec.arch = arch;
-        spec.epochs = opts.epochs(spec.epochs);
-        spec.seed = opts.seed;
-        let (_, report) = zoo_model(&spec, &train100, &test100, opts.no_cache);
+        let (_, report) = zoo_model(&spec, opts.no_cache);
         table.row_owned(vec![name.into(), pct(report.clean_error as f64)]);
     }
     println!("Tab. 7 — CIFAR100 stand-in:\n{}", table.render());

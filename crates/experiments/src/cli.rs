@@ -1,12 +1,19 @@
 //! Minimal command-line options shared by all experiment binaries.
 
+use bitrobust_core::TrainMethod;
+use bitrobust_quant::QuantScheme;
+
+use crate::zoo::{DatasetKind, ZooSpec};
+
 /// Options parsed from the command line.
 ///
 /// Every experiment binary accepts:
 ///
 /// * `--quick` — fewer epochs and chips (smoke-test mode);
 /// * `--chips N` — number of random chips for RErr averaging;
-/// * `--seed S` — base RNG seed;
+/// * `--seed S` — base RNG seed: it generates the evaluation data and seeds
+///   each zoo model's training data and initialization
+///   ([`ExpOptions::zoo_spec`]);
 /// * `--no-cache` — ignore the model zoo cache and retrain.
 ///
 /// Binaries that drive the sweep orchestrator additionally accept:
@@ -111,6 +118,22 @@ impl ExpOptions {
             full
         }
     }
+
+    /// The zoo spec for one of this run's models: the dataset's defaults,
+    /// with [`ExpOptions::epochs`] applied to its epoch budget and the run's
+    /// `--seed` as its seed (so `--seed` picks the model's training data
+    /// and initialization, and its cache key says so).
+    pub fn zoo_spec(
+        &self,
+        dataset: DatasetKind,
+        scheme: Option<QuantScheme>,
+        method: TrainMethod,
+    ) -> ZooSpec {
+        let mut spec = ZooSpec::new(dataset, scheme, method);
+        spec.epochs = self.epochs(spec.epochs);
+        spec.seed = self.seed;
+        spec
+    }
 }
 
 #[cfg(test)]
@@ -136,6 +159,19 @@ mod tests {
         o.quick = true;
         assert_eq!(o.epochs(30), 10);
         assert_eq!(o.epochs(3), 2);
+    }
+
+    #[test]
+    fn zoo_specs_take_the_run_seed_and_quick_epochs() {
+        // The key encodes every field of a spec.
+        let (kind, scheme) = (DatasetKind::Cifar10, Some(QuantScheme::rquant(8)));
+        let mut expected = ZooSpec::new(kind, scheme, TrainMethod::Normal);
+        let full = parse(&[]).zoo_spec(kind, scheme, TrainMethod::Normal);
+        assert_eq!(full.key(), expected.key());
+
+        let quick = parse(&["--quick", "--seed", "3"]).zoo_spec(kind, scheme, TrainMethod::Normal);
+        (expected.epochs, expected.seed) = (6, 3);
+        assert_eq!(quick.key(), expected.key());
     }
 
     #[test]

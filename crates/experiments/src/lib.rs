@@ -32,9 +32,7 @@ pub fn finish_obs() {
         Err(e) => eprintln!("warning: failed to write obs output: {e}"),
     }
 }
-pub use protocol::{
-    p_grid_cifar, p_grid_cifar100, p_grid_mnist, protocol_axis, rerr_sweep, CHIP_SEED,
-};
+pub use protocol::{p_grid_cifar, p_grid_cifar100, p_grid_mnist, protocol_axis, CHIP_SEED};
 pub use sweeps::{open_sweep_store, sweep_dir, sweep_models, sweep_progress};
 pub use table::{pct, pct_pm, Table};
 pub use zoo::{dataset_pair, warm_zoo, zoo_model, DatasetKind, ZooSpec};

@@ -118,7 +118,7 @@ pub struct ZooSpec {
     pub label_smoothing: Option<f32>,
     /// Epochs.
     pub epochs: usize,
-    /// Seed (init, shuffling, per-step chips).
+    /// Seed (training data, init, shuffling, per-step chips).
     pub seed: u64,
 }
 
@@ -239,6 +239,11 @@ fn zoo_dir() -> PathBuf {
 
 /// Returns the trained model for `spec`, training and caching it if needed.
 ///
+/// A cache miss trains on `dataset_pair(spec.dataset, spec.seed)`, generated
+/// here and only then: the spec's seed names its training data as well as
+/// its initialization, so a cache key never names a model trained on other
+/// data. The report's clean error is measured on that pair's test split.
+///
 /// Models using BatchNorm bypass the cache (their running statistics are
 /// not serialized).
 ///
@@ -247,12 +252,7 @@ fn zoo_dir() -> PathBuf {
 /// Panics on cache I/O errors other than "not found", and on a `.brts` or
 /// `.meta` that is truncated or garbled (corrupt cache files should be
 /// deleted rather than silently retrained).
-pub fn zoo_model(
-    spec: &ZooSpec,
-    train_ds: &Dataset,
-    test_ds: &Dataset,
-    no_cache: bool,
-) -> (Model, TrainReport) {
+pub fn zoo_model(spec: &ZooSpec, no_cache: bool) -> (Model, TrainReport) {
     let mut model = spec.initial_model();
 
     let cacheable = spec.norm != NormKind::Batch;
@@ -270,7 +270,8 @@ pub fn zoo_model(
         return (model, report);
     }
 
-    let report = train(&mut model, train_ds, test_ds, &spec.train_config());
+    let (train_ds, test_ds) = dataset_pair(spec.dataset, spec.seed);
+    let report = train(&mut model, &train_ds, &test_ds, &spec.train_config());
 
     if cacheable && !no_cache {
         fs::create_dir_all(&dir).expect("create zoo dir");
@@ -314,11 +315,12 @@ fn inner_parallel_warmup(n_unique: usize, parallelism: usize) -> bool {
 /// results are bit-identical to calling [`zoo_model`] per spec serially.
 ///
 /// Duplicate specs (same [`ZooSpec::key`]) are trained once and cloned, so
-/// no two workers ever touch the same cache file.
+/// no two workers ever touch the same cache file. As in [`zoo_model`],
+/// each spec's training data come from its own seed.
 ///
 /// This is the cache-warmup path for experiment binaries that need many
 /// models: warm the zoo once, then reload per model in milliseconds.
-pub fn warm_zoo(specs: &[ZooSpec], data_seed: u64, no_cache: bool) -> Vec<(Model, TrainReport)> {
+pub fn warm_zoo(specs: &[ZooSpec], no_cache: bool) -> Vec<(Model, TrainReport)> {
     // Dedupe by cache key; remember which unique entry serves each spec.
     let mut unique: Vec<&ZooSpec> = Vec::new();
     let mut keys: Vec<String> = Vec::new();
@@ -337,24 +339,10 @@ pub fn warm_zoo(specs: &[ZooSpec], data_seed: u64, no_cache: bool) -> Vec<(Model
         })
         .collect();
 
-    // Generate each dataset once, not once per spec: the splits are
-    // read-only, so trainings can share them across workers.
-    let mut kinds: Vec<DatasetKind> = Vec::new();
-    for spec in &unique {
-        if !kinds.contains(&spec.dataset) {
-            kinds.push(spec.dataset);
-        }
-    }
-    let pairs: Vec<(Dataset, Dataset)> =
-        kinds.iter().map(|&kind| dataset_pair(kind, data_seed)).collect();
-
     let slots: Vec<OnceLock<(Model, TrainReport)>> =
         (0..unique.len()).map(|_| OnceLock::new()).collect();
     let train_one = |i: usize| {
-        let spec = unique[i];
-        let kind = kinds.iter().position(|&k| k == spec.dataset).expect("kind generated above");
-        let (train_ds, test_ds) = &pairs[kind];
-        let trained = zoo_model(spec, train_ds, test_ds, no_cache);
+        let trained = zoo_model(unique[i], no_cache);
         assert!(slots[i].set(trained).is_ok(), "zoo spec {i} trained twice");
     };
     if inner_parallel_warmup(unique.len(), pool_parallelism()) {
@@ -524,11 +512,10 @@ mod tests {
 
         // Bypass the on-disk cache so the test exercises the training path.
         let specs = vec![spec.clone(), other.clone(), spec.clone()];
-        let warmed = warm_zoo(&specs, 0, true);
+        let warmed = warm_zoo(&specs, true);
         assert_eq!(warmed.len(), 3);
 
-        let (train_ds, test_ds) = dataset_pair(DatasetKind::Mnist, 0);
-        let (serial_model, serial_report) = zoo_model(&spec, &train_ds, &test_ds, true);
+        let (serial_model, serial_report) = zoo_model(&spec, true);
         assert_eq!(warmed[0].1, serial_report, "parallel warmup must match serial training");
         assert_eq!(warmed[0].0.param_tensors(), serial_model.param_tensors());
         // Duplicate specs share one training run.
@@ -536,6 +523,24 @@ mod tests {
         assert_eq!(warmed[0].1, warmed[2].1);
         // Distinct seeds are genuinely different runs.
         assert_ne!(warmed[0].1, warmed[1].1);
+    }
+
+    /// A spec's seed names its training data: a cache miss trains on
+    /// `dataset_pair(dataset, seed)`, never on another seed's data.
+    #[test]
+    fn zoo_model_trains_on_the_data_its_seed_names() {
+        let mut spec =
+            ZooSpec::new(DatasetKind::Mnist, Some(QuantScheme::rquant(8)), TrainMethod::Normal);
+        spec.arch = ArchKind::Mlp;
+        spec.epochs = 1;
+        spec.seed = 1;
+        let (model, report) = zoo_model(&spec, true);
+
+        let (train_ds, test_ds) = dataset_pair(DatasetKind::Mnist, 1);
+        let mut expected = spec.initial_model();
+        let expected_report = train(&mut expected, &train_ds, &test_ds, &spec.train_config());
+        assert_eq!(report, expected_report);
+        assert_eq!(model.param_tensors(), expected.param_tensors());
     }
 
     /// The warmup scheduling crossover: sequential-inner-parallel only

@@ -54,7 +54,6 @@ pub use hist::{bucket_bounds, bucket_index, Hist, BUCKETS};
 pub use snapshot::{Gauge, Snapshot};
 pub use trace::{render_chrome_trace, write_chrome_trace, TraceEvent};
 
-use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -243,7 +242,6 @@ thread_local! {
         lock(registry()).push(Arc::clone(&state));
         state
     };
-    static SPAN_STACK: RefCell<Vec<&'static str>> = const { RefCell::new(Vec::new()) };
 }
 
 fn with_local(f: impl FnOnce(&mut LocalState)) {
@@ -306,7 +304,6 @@ pub fn span(name: &'static str) -> SpanGuard {
     if !enabled() {
         return SpanGuard { name, start: None };
     }
-    let _ = SPAN_STACK.try_with(|s| s.borrow_mut().push(name));
     SpanGuard { name, start: Some(Instant::now()) }
 }
 
@@ -316,11 +313,6 @@ impl Drop for SpanGuard {
             return;
         };
         let dur = start.elapsed();
-        // Pop happens during unwinding too: guards drop in LIFO order,
-        // so the stack stays balanced even when a panic crosses spans.
-        let _ = SPAN_STACK.try_with(|s| {
-            s.borrow_mut().pop();
-        });
         let trace = trace_enabled();
         let ts_ns = start.saturating_duration_since(origin()).as_nanos() as u64;
         let dur_ns = dur.as_nanos() as u64;
@@ -345,11 +337,6 @@ macro_rules! span {
     ($name:expr) => {
         let _obs_span_guard = $crate::span($name);
     };
-}
-
-/// Current nesting depth of this thread's span stack (test hook).
-pub fn span_depth() -> usize {
-    SPAN_STACK.try_with(|s| s.borrow().len()).unwrap_or(0)
 }
 
 // ---------------------------------------------------------------------------
@@ -426,8 +413,7 @@ mod tests {
     #[test]
     fn off_guards_are_inert() {
         init(&ObsConfig::off());
-        let depth = span_depth();
-        let _g = span("inert");
-        assert_eq!(span_depth(), depth, "off-level span must not touch the stack");
+        let g = span("inert");
+        assert!(g.start.is_none(), "off-level span must not read the clock");
     }
 }

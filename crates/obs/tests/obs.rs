@@ -1,5 +1,5 @@
 //! Integration tests for the obs runtime: cross-thread merge
-//! determinism, span-stack nesting and unwind safety, and end-to-end
+//! determinism, span recording across a panic unwind, and end-to-end
 //! report/trace export.
 //!
 //! Every test in this binary that needs recording enabled installs the
@@ -10,8 +10,7 @@
 use std::path::PathBuf;
 
 use bitrobust_obs::{
-    counter_add, gauge_set, init, snapshot, span, span_depth, Gauge, Hist, ObsConfig, ObsLevel,
-    Snapshot,
+    counter_add, gauge_set, init, snapshot, span, Gauge, Hist, ObsConfig, ObsLevel, Snapshot,
 };
 use proptest::prelude::*;
 
@@ -48,29 +47,16 @@ fn snapshot_is_cumulative_across_calls() {
 }
 
 #[test]
-fn spans_nest_and_unwind_balanced() {
+fn spans_record_durations_when_a_panic_unwinds_them() {
     enable_trace();
-    let base = span_depth();
-    {
-        let _outer = span("test.obs.outer");
-        assert_eq!(span_depth(), base + 1);
-        {
-            let _inner = span("test.obs.inner");
-            assert_eq!(span_depth(), base + 2);
-        }
-        assert_eq!(span_depth(), base + 1);
-    }
-    assert_eq!(span_depth(), base);
-
-    // A panic crossing open spans must still pop them (guards drop in
-    // LIFO order during unwinding) and still record their durations.
+    // A panic crossing open spans drops their guards during unwinding,
+    // and each still records its duration.
     let result = std::panic::catch_unwind(|| {
         let _a = span("test.obs.unwind_a");
         let _b = span("test.obs.unwind_b");
         panic!("boom");
     });
     assert!(result.is_err());
-    assert_eq!(span_depth(), base, "unwinding must rebalance the span stack");
     let snap = snapshot();
     assert!(snap.hist("test.obs.unwind_a").is_some_and(|h| h.count >= 1));
     assert!(snap.hist("test.obs.unwind_b").is_some_and(|h| h.count >= 1));

@@ -6,11 +6,10 @@
 //! ```
 
 use bitrobust_core::{
-    best_saving_within, build, energy_tradeoff, robust_eval_uniform, train, ArchKind, NormKind,
-    RandBetVariant, TrainConfig, TrainMethod, EVAL_BATCH,
+    best_saving_within, build, energy_tradeoff, robust_eval, train, ArchKind, ChipAxis, NormKind,
+    RandBetVariant, TrainConfig, TrainMethod,
 };
 use bitrobust_data::{AugmentConfig, SynthDataset};
-use bitrobust_nn::Mode;
 use bitrobust_quant::QuantScheme;
 use bitrobust_sram::{EnergyModel, VoltageErrorModel};
 use rand::SeedableRng;
@@ -34,15 +33,10 @@ fn main() {
     println!("clean error {:.2}%\n", 100.0 * clean);
 
     // Measure the RErr curve.
-    let ps = [1e-3, 5e-3, 1e-2, 2.5e-2, 5e-2, 1e-1];
-    let curve: Vec<(f64, f64)> = ps
-        .iter()
-        .map(|&p| {
-            let r =
-                robust_eval_uniform(&model, scheme, &test_ds, p, 10, 42, EVAL_BATCH, Mode::Eval);
-            (p, r.mean_error as f64)
-        })
-        .collect();
+    let ps = vec![1e-3, 5e-3, 1e-2, 2.5e-2, 5e-2, 1e-1];
+    let per_rate = robust_eval(&model, scheme, &test_ds, ChipAxis::uniform(ps.clone(), 10, 42));
+    let curve: Vec<(f64, f64)> =
+        ps.iter().zip(&per_rate).map(|(&p, r)| (p, r.mean_error as f64)).collect();
 
     // Map onto voltage/energy.
     let volts = VoltageErrorModel::chandramoorthy14nm();

@@ -7,11 +7,10 @@
 //! ```
 
 use bitrobust_core::{
-    build, robust_eval_uniform, train, ArchKind, NormKind, RandBetVariant, TrainConfig,
-    TrainMethod, EVAL_BATCH,
+    build, robust_eval, train, ArchKind, ChipAxis, NormKind, RandBetVariant, TrainConfig,
+    TrainMethod,
 };
 use bitrobust_data::{AugmentConfig, SynthDataset};
-use bitrobust_nn::Mode;
 use bitrobust_quant::QuantScheme;
 use bitrobust_sram::{EnergyModel, VoltageErrorModel};
 use rand::SeedableRng;
@@ -36,11 +35,11 @@ fn main() {
     let volts = VoltageErrorModel::chandramoorthy14nm();
     let energy = EnergyModel::default();
 
+    let vs: Vec<f64> = (0..8).map(|i| 1.0 - 0.03 * i as f64).collect();
+    let ps: Vec<f64> = vs.iter().map(|&v| volts.rate_at(v)).collect();
+    let per_rate = robust_eval(&model, scheme, &test_ds, ChipAxis::uniform(ps.clone(), 10, 42));
     println!("{:>7} {:>10} {:>12} {:>10}", "V/Vmin", "p (%)", "energy save", "RErr (%)");
-    for i in 0..8 {
-        let v = 1.0 - 0.03 * i as f64;
-        let p = volts.rate_at(v);
-        let r = robust_eval_uniform(&model, scheme, &test_ds, p, 10, 42, EVAL_BATCH, Mode::Eval);
+    for ((&v, p), r) in vs.iter().zip(&ps).zip(&per_rate) {
         println!(
             "{v:>7.3} {:>10.4} {:>11.1}% {:>10.2}",
             100.0 * p,

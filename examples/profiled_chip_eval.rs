@@ -6,13 +6,12 @@
 //! cargo run --release --example profiled_chip_eval
 //! ```
 
-use bitrobust_biterror::{ChipKind, ProfiledChip};
+use bitrobust_biterror::{ChipKind, ProfiledAxis};
 use bitrobust_core::{
-    build, robust_eval, train, ArchKind, NormKind, RandBetVariant, TrainConfig, TrainMethod,
-    EVAL_BATCH,
+    build, robust_eval, train, ArchKind, ChipAxis, NormKind, RandBetVariant, TrainConfig,
+    TrainMethod,
 };
 use bitrobust_data::{AugmentConfig, SynthDataset};
-use bitrobust_nn::Mode;
 use bitrobust_quant::QuantScheme;
 use rand::SeedableRng;
 
@@ -34,14 +33,18 @@ fn main() {
     println!("clean error {:.2}%\n", 100.0 * report.clean_error);
 
     for kind in ChipKind::all() {
-        let chip = ProfiledChip::synthesize(kind, 1);
+        // Each target rate resolves to an operating voltage; average over
+        // four different weight-to-memory mappings at each.
+        let axis = ProfiledAxis {
+            offset_stride: 99_991,
+            ..ProfiledAxis::tab5(kind, 1, vec![0.005, 0.02], 4)
+        };
+        let chip = axis.synthesize();
+        let voltages = axis.voltages(&chip);
         println!("{} ({} bit cells):", kind.name(), chip.n_cells());
-        for target_rate in [0.005, 0.02] {
-            let v = chip.voltage_for_rate(target_rate);
+        let per_rate = robust_eval(&model, scheme, &test_ds, ChipAxis::Profiled(axis));
+        for (&v, r) in voltages.iter().zip(&per_rate) {
             let stats = chip.stats_at(v);
-            // Average over four different weight-to-memory mappings.
-            let injectors: Vec<_> = (0..4).map(|k| chip.at_voltage(v, k * 99_991, false)).collect();
-            let r = robust_eval(&model, scheme, &test_ds, &injectors, EVAL_BATCH, Mode::Eval);
             println!(
                 "  V/Vmin {v:.3}: p {:.2}% (0->1 {:.2}%, 1->0 {:.2}%) -> RErr {:.2}% ± {:.2}",
                 100.0 * stats.rate,

@@ -6,11 +6,10 @@
 //! ```
 
 use bitrobust_core::{
-    build, robust_eval_uniform, train, ArchKind, NormKind, RandBetVariant, TrainConfig,
-    TrainMethod, EVAL_BATCH,
+    build, robust_eval, train, ArchKind, ChipAxis, NormKind, RandBetVariant, TrainConfig,
+    TrainMethod,
 };
 use bitrobust_data::{AugmentConfig, SynthDataset};
-use bitrobust_nn::Mode;
 use bitrobust_quant::QuantScheme;
 use rand::SeedableRng;
 
@@ -43,8 +42,9 @@ fn main() {
     // 4. Evaluate robustness: inject random bit errors into the quantized
     //    weights of 10 simulated chips per rate.
     println!("bit error rate p -> robust test error (RErr):");
-    for p in [0.001, 0.01, 0.05, 0.1] {
-        let r = robust_eval_uniform(&model, scheme, &test_ds, p, 10, 42, EVAL_BATCH, Mode::Eval);
+    let ps = vec![0.001, 0.01, 0.05, 0.1];
+    let per_rate = robust_eval(&model, scheme, &test_ds, ChipAxis::uniform(ps.clone(), 10, 42));
+    for (p, r) in ps.iter().zip(&per_rate) {
         println!(
             "  p = {:>5.1}% -> RErr {:.2}% ± {:.2}",
             100.0 * p,

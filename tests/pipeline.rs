@@ -3,7 +3,7 @@
 
 use bitrobust_biterror::UniformChip;
 use bitrobust_core::{
-    build, evaluate, quantized_error, robust_eval_uniform, train, ArchKind, NormKind,
+    build, evaluate, quantized_error, robust_eval, train, ArchKind, ChipAxis, NormKind,
     QuantizedModel, TrainConfig, TrainMethod, EVAL_BATCH,
 };
 use bitrobust_data::{AugmentConfig, Dataset, SynthDataset};
@@ -32,10 +32,10 @@ fn trained_mnist_model() -> (Model, Dataset) {
 fn rerr_grows_with_bit_error_rate() {
     let (model, test_ds) = trained_mnist_model();
     let scheme = QuantScheme::rquant(8);
+    let axis = ChipAxis::uniform(vec![0.0, 0.01, 0.05, 0.15], 5, 42);
     let mut last = 0.0f32;
     let mut increased = 0;
-    for p in [0.0, 0.01, 0.05, 0.15] {
-        let r = robust_eval_uniform(&model, scheme, &test_ds, p, 5, 42, EVAL_BATCH, Mode::Eval);
+    for r in robust_eval(&model, scheme, &test_ds, axis) {
         assert!(
             r.mean_error >= last - 0.02,
             "RErr should not drop much: {} -> {}",
@@ -55,8 +55,7 @@ fn rerr_grows_with_bit_error_rate() {
 fn quantization_loses_little_accuracy_at_8_bit() {
     let (model, test_ds) = trained_mnist_model();
     let float_err = evaluate(&model, &test_ds, EVAL_BATCH, Mode::Eval).error;
-    let q8 =
-        quantized_error(&model, QuantScheme::rquant(8), &test_ds, EVAL_BATCH, Mode::Eval).error;
+    let q8 = quantized_error(&model, QuantScheme::rquant(8), &test_ds).error;
     assert!(
         (q8 - float_err).abs() < 0.02,
         "8-bit quantization must be nearly free: {float_err} vs {q8}"
@@ -67,16 +66,8 @@ fn quantization_loses_little_accuracy_at_8_bit() {
 fn robust_eval_restores_float_weights_exactly() {
     let (model, test_ds) = trained_mnist_model();
     let before = model.param_tensors();
-    let _ = robust_eval_uniform(
-        &model,
-        QuantScheme::rquant(8),
-        &test_ds,
-        0.05,
-        3,
-        7,
-        EVAL_BATCH,
-        Mode::Eval,
-    );
+    let _ =
+        robust_eval(&model, QuantScheme::rquant(8), &test_ds, ChipAxis::uniform(vec![0.05], 3, 7));
     let after = model.param_tensors();
     assert_eq!(before, after);
 }
@@ -106,16 +97,8 @@ fn model_level_subset_property() {
 #[test]
 fn different_chips_give_different_rerr_samples() {
     let (model, test_ds) = trained_mnist_model();
-    let r = robust_eval_uniform(
-        &model,
-        QuantScheme::rquant(8),
-        &test_ds,
-        0.1,
-        8,
-        999,
-        EVAL_BATCH,
-        Mode::Eval,
-    );
+    let axis = ChipAxis::uniform(vec![0.1], 8, 999);
+    let r = robust_eval(&model, QuantScheme::rquant(8), &test_ds, axis).remove(0);
     assert_eq!(r.errors.len(), 8);
     let distinct: std::collections::HashSet<u32> = r.errors.iter().map(|e| e.to_bits()).collect();
     assert!(distinct.len() > 1, "chips must produce varied errors");
@@ -127,26 +110,9 @@ fn lower_precision_is_not_more_robust_for_a_normal_model() {
     // At the same p, a 4-bit quantization of an 8-bit-trained model suffers
     // at least comparably — each flip is a larger fraction of the range.
     let (model, test_ds) = trained_mnist_model();
-    let r8 = robust_eval_uniform(
-        &model,
-        QuantScheme::rquant(8),
-        &test_ds,
-        0.05,
-        5,
-        77,
-        EVAL_BATCH,
-        Mode::Eval,
-    );
-    let r4 = robust_eval_uniform(
-        &model,
-        QuantScheme::rquant(4),
-        &test_ds,
-        0.05,
-        5,
-        77,
-        EVAL_BATCH,
-        Mode::Eval,
-    );
+    let axis = ChipAxis::uniform(vec![0.05], 5, 77);
+    let r8 = robust_eval(&model, QuantScheme::rquant(8), &test_ds, axis.clone()).remove(0);
+    let r4 = robust_eval(&model, QuantScheme::rquant(4), &test_ds, axis).remove(0);
     assert!(
         r4.mean_error > r8.mean_error - 0.05,
         "4-bit should not be much more robust: {} vs {}",

@@ -1,12 +1,12 @@
 //! Integration tests of profiled-chip evaluation: structure, persistence,
 //! and the full model → memory → errors → accuracy path.
 
-use bitrobust_biterror::{ChipKind, ErrorInjector, ProfiledChip};
+use bitrobust_biterror::{ChipKind, ErrorInjector, ProfiledAxis, ProfiledChip};
 use bitrobust_core::{
-    build, robust_eval, train, ArchKind, NormKind, TrainConfig, TrainMethod, EVAL_BATCH,
+    build, robust_eval, train, ArchKind, ChipAxis, NormKind, TrainConfig, TrainMethod,
 };
 use bitrobust_data::{AugmentConfig, Dataset, SynthDataset};
-use bitrobust_nn::{Mode, Model};
+use bitrobust_nn::Model;
 use bitrobust_quant::QuantScheme;
 use rand::SeedableRng;
 
@@ -53,26 +53,11 @@ fn chip2_is_column_biased_and_0to1_dominant() {
 #[test]
 fn profiled_rerr_is_worse_at_lower_voltage() {
     let (model, test_ds) = trained_model();
-    let chip = ProfiledChip::synthesize(ChipKind::Chip1, 7);
     let scheme = QuantScheme::rquant(8);
-    let v_hi = chip.voltage_for_rate(0.005);
-    let v_lo = chip.voltage_for_rate(0.06);
-    let at_hi = robust_eval(
-        &model,
-        scheme,
-        &test_ds,
-        &[chip.at_voltage(v_hi, 0, false)],
-        EVAL_BATCH,
-        Mode::Eval,
-    );
-    let at_lo = robust_eval(
-        &model,
-        scheme,
-        &test_ds,
-        &[chip.at_voltage(v_lo, 0, false)],
-        EVAL_BATCH,
-        Mode::Eval,
-    );
+    // Chip 1 at the voltages of p = 0.5% and p = 6%, one mapping (offset 0).
+    let axis = ProfiledAxis::tab5(ChipKind::Chip1, 7, vec![0.005, 0.06], 1);
+    let per_rate = robust_eval(&model, scheme, &test_ds, ChipAxis::Profiled(axis));
+    let (at_hi, at_lo) = (&per_rate[0], &per_rate[1]);
     assert!(
         at_lo.mean_error >= at_hi.mean_error,
         "lower voltage (more errors) must not improve accuracy: {} vs {}",
@@ -84,11 +69,12 @@ fn profiled_rerr_is_worse_at_lower_voltage() {
 #[test]
 fn offsets_simulate_different_mappings() {
     let (model, test_ds) = trained_model();
-    let chip = ProfiledChip::synthesize(ChipKind::Chip2, 8);
     let scheme = QuantScheme::rquant(8);
-    let v = chip.voltage_for_rate(0.02);
-    let injectors: Vec<_> = (0..4).map(|k| chip.at_voltage(v, k * 100_003, false)).collect();
-    let r = robust_eval(&model, scheme, &test_ds, &injectors, EVAL_BATCH, Mode::Eval);
+    let axis = ProfiledAxis {
+        offset_stride: 100_003,
+        ..ProfiledAxis::tab5(ChipKind::Chip2, 8, vec![0.02], 4)
+    };
+    let r = robust_eval(&model, scheme, &test_ds, ChipAxis::Profiled(axis)).remove(0);
     assert_eq!(r.errors.len(), 4);
     let distinct: std::collections::HashSet<u32> = r.errors.iter().map(|e| e.to_bits()).collect();
     assert!(distinct.len() > 1, "different mappings must hit different weights");

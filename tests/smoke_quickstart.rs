@@ -5,11 +5,11 @@
 //! trained without injection, while giving up little clean accuracy.
 
 use bitrobust_core::{
-    build, robust_eval_uniform, train, ArchKind, NormKind, RandBetVariant, TrainConfig,
-    TrainMethod, EVAL_BATCH,
+    build, robust_eval, train, ArchKind, ChipAxis, NormKind, RandBetVariant, TrainConfig,
+    TrainMethod,
 };
 use bitrobust_data::{AugmentConfig, Dataset, SynthDataset};
-use bitrobust_nn::{Mode, Model};
+use bitrobust_nn::Model;
 use bitrobust_quant::QuantScheme;
 use rand::SeedableRng;
 
@@ -60,26 +60,9 @@ fn quickstart_randbet_beats_uninjected_baseline() {
 
     // The headline claim: at the trained error rate, the RandBET model's
     // robust error is clearly below the uninjected baseline's.
-    let r_base = robust_eval_uniform(
-        &baseline,
-        scheme,
-        &test_ds,
-        EVAL_RATE,
-        N_CHIPS,
-        42,
-        EVAL_BATCH,
-        Mode::Eval,
-    );
-    let r_randbet = robust_eval_uniform(
-        &randbet,
-        scheme,
-        &test_ds,
-        EVAL_RATE,
-        N_CHIPS,
-        42,
-        EVAL_BATCH,
-        Mode::Eval,
-    );
+    let axis = ChipAxis::uniform(vec![EVAL_RATE], N_CHIPS, 42);
+    let r_base = robust_eval(&baseline, scheme, &test_ds, axis.clone()).remove(0);
+    let r_randbet = robust_eval(&randbet, scheme, &test_ds, axis).remove(0);
     assert!(
         r_randbet.mean_error < r_base.mean_error - 0.05,
         "RandBET must beat the uninjected baseline at p={EVAL_RATE}: \

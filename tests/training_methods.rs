@@ -2,11 +2,11 @@
 //! paper makes must hold on a small, fast task.
 
 use bitrobust_core::{
-    build, robust_eval_uniform, train, ArchKind, NormKind, PattPattern, RandBetVariant,
-    TrainConfig, TrainMethod, EVAL_BATCH,
+    build, robust_eval, train, ArchKind, ChipAxis, NormKind, PattPattern, RandBetVariant,
+    TrainConfig, TrainMethod,
 };
 use bitrobust_data::{AugmentConfig, Dataset, SynthDataset};
-use bitrobust_nn::{Mode, Model};
+use bitrobust_nn::Model;
 use bitrobust_quant::QuantScheme;
 use rand::SeedableRng;
 
@@ -45,10 +45,9 @@ fn randbet_beats_normal_at_the_trained_rate() {
     assert!(normal_err < 0.15 && randbet_err < 0.2, "{normal_err} vs {randbet_err}");
 
     let scheme = QuantScheme::rquant(SCHEME_BITS);
-    let r_normal =
-        robust_eval_uniform(&normal, scheme, &test_ds, p, 8, 500, EVAL_BATCH, Mode::Eval);
-    let r_randbet =
-        robust_eval_uniform(&randbet, scheme, &test_ds, p, 8, 500, EVAL_BATCH, Mode::Eval);
+    let axis = ChipAxis::uniform(vec![p], 8, 500);
+    let r_normal = robust_eval(&normal, scheme, &test_ds, axis.clone()).remove(0);
+    let r_randbet = robust_eval(&randbet, scheme, &test_ds, axis).remove(0);
     assert!(
         r_randbet.mean_error < r_normal.mean_error - 0.05,
         "RandBET must be clearly more robust at p={p}: {} vs {}",
@@ -68,10 +67,9 @@ fn randbet_generalizes_to_lower_rates() {
         8,
     );
     let scheme = QuantScheme::rquant(SCHEME_BITS);
-    let at_train =
-        robust_eval_uniform(&randbet, scheme, &test_ds, p, 6, 700, EVAL_BATCH, Mode::Eval);
-    let at_half =
-        robust_eval_uniform(&randbet, scheme, &test_ds, p / 2.0, 6, 700, EVAL_BATCH, Mode::Eval);
+    let per_rate =
+        robust_eval(&randbet, scheme, &test_ds, ChipAxis::uniform(vec![p, p / 2.0], 6, 700));
+    let (at_train, at_half) = (&per_rate[0], &per_rate[1]);
     assert!(
         at_half.mean_error <= at_train.mean_error + 0.02,
         "lower rate must not be worse: {} vs {}",
@@ -93,17 +91,12 @@ fn pattbet_fails_on_unseen_patterns() {
         8,
     );
     let scheme = QuantScheme::rquant(SCHEME_BITS);
-    // On its own pattern: fine.
-    let own = bitrobust_core::robust_eval(
-        &patt,
-        scheme,
-        &test_ds,
-        &[bitrobust_biterror::UniformChip::new(fixed_seed).at_rate(p)],
-        EVAL_BATCH,
-        Mode::Eval,
-    );
+    // On its own pattern (chip 0 of a one-chip axis seeded with the
+    // trained pattern's seed): fine.
+    let own = robust_eval(&patt, scheme, &test_ds, ChipAxis::uniform(vec![p], 1, fixed_seed));
     // On random patterns: much worse.
-    let random = robust_eval_uniform(&patt, scheme, &test_ds, p, 8, 900, EVAL_BATCH, Mode::Eval);
+    let random = robust_eval(&patt, scheme, &test_ds, ChipAxis::uniform(vec![p], 8, 900));
+    let (own, random) = (&own[0], &random[0]);
     assert!(
         random.mean_error > own.mean_error + 0.05,
         "PattBET must not generalize to random patterns: own {} vs random {}",
