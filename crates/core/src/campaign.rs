@@ -691,6 +691,17 @@ mod tests {
         assert_eq!(mixed[3], solo_b[1]);
     }
 
+    /// A cell naming a template the campaign does not have panics with
+    /// its index on whichever thread claims it, and the panic reaches the
+    /// caller.
+    #[test]
+    #[should_panic(expected = "template index 1 out of range")]
+    fn out_of_range_template_index_panics() {
+        let (mut model, test) = tiny_setup();
+        let images = uniform_images(&mut model, 4, 0.01);
+        Campaign::multi(&[&model], &test).run_cells(images.len(), |i| (1, images[i].clone()));
+    }
+
     #[test]
     fn streaming_delivers_every_cell_in_order() {
         let (mut model, test) = tiny_setup();

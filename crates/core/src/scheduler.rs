@@ -96,7 +96,8 @@ pub fn wave_size(n_slots: usize) -> usize {
 /// # Panics
 ///
 /// Panics if a slot is computed twice or never (both indicate a scheduler
-/// bug, not a caller error).
+/// bug, not a caller error). A panic in `work` reaches the caller with its
+/// own payload (see [`bitrobust_tensor::ThreadPool::parallel_for`]).
 pub fn execute<T, F>(n_tracks: usize, n_slots: usize, work: F) -> Vec<T>
 where
     T: Send + Sync,

@@ -38,7 +38,7 @@ use crate::eval::EvalResult;
 /// FNV-1a over a byte string: the store's content hash. 64 bits is plenty
 /// for sweep-sized key spaces (collisions are *detected*, not assumed
 /// absent: see [`SweepStore::append`]).
-pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {
         hash ^= b as u64;

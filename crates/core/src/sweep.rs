@@ -84,9 +84,10 @@ use crate::eval::{EvalResult, RobustEval, EVAL_BATCH};
 use crate::store::{fnv1a64, CellRecord, SweepStore};
 use crate::QuantizedModel;
 
-/// One model entering a sweep: a stable identity key (by convention a zoo
-/// cache key — anything that uniquely names the trained weights), the
-/// quantization scheme it is evaluated under, and the model itself.
+/// One model entering a sweep: a stable identity key (anything that
+/// uniquely names the trained weights; the experiments use a zoo cache key
+/// plus a fingerprint of the weights), the quantization scheme it is
+/// evaluated under, and the model itself.
 #[derive(Debug, Clone)]
 pub struct SweepModel<'a> {
     /// Identity of the trained weights (part of every cell's content

@@ -26,6 +26,7 @@ fn main() {
     println!("Expected shape (paper): per dataset, NORMAL < RQUANT < +CLIPPING < +RANDBET in");
     println!("robustness; tolerable rates are far higher on MNIST than CIFAR100; low precision");
     println!("costs clean Err but RANDBET keeps RErr from exploding.");
+    bitrobust_experiments::finish_obs();
 }
 
 fn run_dataset(kind: DatasetKind, opts: &ExpOptions) {
@@ -118,5 +119,4 @@ fn run_dataset(kind: DatasetKind, opts: &ExpOptions) {
         table.row_owned(row);
     }
     println!("Fig. 7 — {}:\n{}", kind.name(), table.render());
-    bitrobust_experiments::finish_obs();
 }

@@ -7,7 +7,7 @@
 
 use bitrobust_core::{run_sweep, NormKind, SweepAxis, SweepModel, SweepOptions, TrainMethod};
 use bitrobust_experiments::{
-    dataset_pair, pct, pct_pm, protocol_axis, zoo_model, DatasetKind, ExpOptions, Table,
+    dataset_pair, pct, pct_pm, protocol_axis, warm_zoo, DatasetKind, ExpOptions, Table, ZooSpec,
 };
 use bitrobust_nn::Mode;
 use bitrobust_quant::QuantScheme;
@@ -49,23 +49,18 @@ fn main() {
         ),
     ];
 
-    // BatchNorm models are not cacheable; train each (norm, method) pair
-    // once and reuse across eval modes.
-    let mut cache: Vec<((NormKind, String), bitrobust_nn::Model, f32)> = Vec::new();
-    for (name, norm, method, mode) in configs {
-        let method_key = format!("{method:?}");
-        let have = cache.iter().position(|((n, m), _, _)| *n == norm && *m == method_key);
-        let idx = match have {
-            Some(i) => i,
-            None => {
-                let mut spec = opts.zoo_spec(DatasetKind::Cifar10, Some(scheme), method);
-                spec.norm = norm;
-                let (model, report) = zoo_model(&spec, opts.no_cache);
-                cache.push(((norm, method_key), model, report.clean_error));
-                cache.len() - 1
-            }
-        };
-        let (_, model, clean_err) = &cache[idx];
+    // BatchNorm models are not cacheable; `warm_zoo` trains each distinct
+    // (norm, method) spec once and reuses it across eval modes.
+    let specs: Vec<ZooSpec> = configs
+        .iter()
+        .map(|(_, norm, method, _)| {
+            let mut spec = opts.zoo_spec(DatasetKind::Cifar10, Some(scheme), *method);
+            spec.norm = *norm;
+            spec
+        })
+        .collect();
+    let warmed = warm_zoo(&specs, opts.no_cache);
+    for ((name, _, _, mode), (model, report)) in configs.into_iter().zip(&warmed) {
         // Batch-statistics rows need their own inference mode, so this
         // sweep sets it instead of going through `robust_eval`.
         let models = [SweepModel::new(name.as_str(), scheme, model)];
@@ -74,7 +69,7 @@ fn main() {
         let r = run_sweep(&models, &axes, &test_ds, &sweep_opts, None, |_, _| {}).robust(0, 0);
         table.row_owned(vec![
             name,
-            pct(*clean_err as f64),
+            pct(report.clean_error as f64),
             pct_pm(r[0].mean_error as f64, r[0].std_error as f64),
             pct_pm(r[1].mean_error as f64, r[1].std_error as f64),
         ]);

@@ -10,6 +10,7 @@
 
 use std::path::PathBuf;
 
+use bitrobust_core::store::fnv1a64;
 use bitrobust_core::{EvalResult, SweepCell, SweepModel, SweepStore, TrainReport};
 use bitrobust_nn::Model;
 
@@ -49,9 +50,12 @@ pub fn open_sweep_store(name: &str, opts: &ExpOptions) -> SweepStore {
     store
 }
 
-/// Pairs warmed zoo models with their specs as sweep entries: the spec's
-/// cache key is the model identity and its training scheme is the
-/// evaluation scheme.
+/// Pairs warmed zoo models with their specs as sweep entries. The model
+/// identity is the spec's cache key plus a fingerprint of the weights
+/// (FNV-1a over every parameter's bits), so a store never replays cells
+/// of other weights cached under the same key, such as a model retrained
+/// by a changed trainer. The spec's training scheme is the evaluation
+/// scheme.
 ///
 /// # Panics
 ///
@@ -70,9 +74,22 @@ pub fn sweep_models<'a>(
             let scheme = spec
                 .scheme
                 .expect("sweep entries need a quantization scheme (float specs are ambiguous)");
-            SweepModel::new(spec.key(), scheme, model)
+            SweepModel::new(
+                format!("{}@{:016x}", spec.key(), weights_fingerprint(model)),
+                scheme,
+                model,
+            )
         })
         .collect()
+}
+
+/// FNV-1a over the bits of every parameter, in visit order.
+fn weights_fingerprint(model: &Model) -> u64 {
+    let mut bytes = Vec::with_capacity(4 * model.num_params());
+    model.visit_params_ref(&mut |p| {
+        bytes.extend(p.value().data().iter().flat_map(|v| v.to_bits().to_le_bytes()));
+    });
+    fnv1a64(&bytes)
 }
 
 /// The shared progress style for orchestrated sweeps: one dot per cell
@@ -89,5 +106,49 @@ pub fn sweep_progress(total_cells: usize) -> impl FnMut(&SweepCell, &EvalResult)
             let _ = writeln!(err);
         }
         let _ = err.flush();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::zoo::DatasetKind;
+    use bitrobust_core::{run_sweep, ArchKind, ChipAxis, SweepAxis, SweepOptions, TrainMethod};
+    use bitrobust_quant::QuantScheme;
+
+    /// A store must not replay the cells of other weights cached under the
+    /// same spec, e.g. after a trainer change retrained the zoo.
+    #[test]
+    fn other_weights_under_the_same_spec_never_resume() {
+        let mut spec =
+            ZooSpec::new(DatasetKind::Mnist, Some(QuantScheme::rquant(8)), TrainMethod::Normal);
+        spec.arch = ArchKind::Mlp;
+        let report = TrainReport {
+            final_loss: 0.0,
+            clean_error: 0.0,
+            clean_confidence: 0.0,
+            bit_errors_started_at: None,
+            epoch_losses: Vec::new(),
+        };
+        let stored = spec.initial_model();
+        let mut retrained = stored.clone();
+        retrained.visit_params(&mut |p| p.value_mut().data_mut()[0] += 1.0);
+
+        let (_, test) = crate::zoo::dataset_pair(spec.dataset, spec.seed);
+        let axes = [SweepAxis::new("uniform", ChipAxis::uniform(vec![0.01], 2, 1000))];
+        let path = std::env::temp_dir()
+            .join(format!("bitrobust-sweeps-{}-same-spec.jsonl", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let run = |model: &Model| {
+            let warmed = [(model.clone(), report.clone())];
+            let models = sweep_models(std::slice::from_ref(&spec), &warmed);
+            let mut store = SweepStore::open(&path).expect("open store");
+            let options = SweepOptions::default();
+            run_sweep(&models, &axes, &test, &options, Some(&mut store), |_, _| {})
+        };
+        assert_eq!(run(&stored).evaluated, 2);
+        assert_eq!(run(&stored).resumed, 2, "the same weights resume");
+        assert_eq!(run(&retrained).resumed, 0, "other weights must recompute");
+        std::fs::remove_file(&path).expect("remove store");
     }
 }

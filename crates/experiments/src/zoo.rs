@@ -8,16 +8,15 @@
 
 use std::fs;
 use std::path::PathBuf;
-use std::sync::OnceLock;
 
 use bitrobust_core::{
-    build, train, ArchKind, DataParallel, NormKind, PattPattern, RandBetVariant, TrainConfig,
-    TrainMethod, TrainReport,
+    build, scheduler, train, ArchKind, DataParallel, NormKind, PattPattern, RandBetVariant,
+    TrainConfig, TrainMethod, TrainReport,
 };
 use bitrobust_data::{AugmentConfig, Dataset, SynthDataset};
 use bitrobust_nn::Model;
 use bitrobust_quant::QuantScheme;
-use bitrobust_tensor::{parallel_for, pool_parallelism};
+use bitrobust_tensor::pool_parallelism;
 use rand::SeedableRng;
 
 /// The dataset a zoo model is trained on.
@@ -306,11 +305,11 @@ fn inner_parallel_warmup(n_unique: usize, parallelism: usize) -> bool {
 /// Ensures every spec is trained and cached. Returns one `(model, report)`
 /// per spec, in input order.
 ///
-/// Large spec lists fan out over the thread pool (one training per
-/// worker, nested fan-outs inline); small lists — fewer models than half
-/// the threads — train sequentially so each training's inner parallelism
-/// can use the whole pool instead. Either way
-/// the zoo and everything downstream (e.g. the multi-model sweep
+/// Large spec lists fan out through [`scheduler::execute`] (one training
+/// per work item, nested fan-outs inline); small lists — fewer models than
+/// half the threads — train sequentially so each training's inner
+/// parallelism can use the whole pool instead. Either way the zoo and
+/// everything downstream (e.g. the multi-model sweep
 /// orchestrator's evaluation fan-out) share the one process-wide pool, and
 /// results are bit-identical to calling [`zoo_model`] per spec serially.
 ///
@@ -339,25 +338,15 @@ pub fn warm_zoo(specs: &[ZooSpec], no_cache: bool) -> Vec<(Model, TrainReport)> 
         })
         .collect();
 
-    let slots: Vec<OnceLock<(Model, TrainReport)>> =
-        (0..unique.len()).map(|_| OnceLock::new()).collect();
-    let train_one = |i: usize| {
-        let trained = zoo_model(unique[i], no_cache);
-        assert!(slots[i].set(trained).is_ok(), "zoo spec {i} trained twice");
-    };
-    if inner_parallel_warmup(unique.len(), pool_parallelism()) {
-        // Few models, many cores: train sequentially on this thread so the
-        // nested fan-outs inside each training get the whole pool.
-        for i in 0..unique.len() {
-            train_one(i);
-        }
-    } else {
-        parallel_for(unique.len(), train_one);
-    }
-    assignment
-        .into_iter()
-        .map(|i| slots[i].get().expect("missing zoo warmup result").clone())
-        .collect()
+    let trained: Vec<(Model, TrainReport)> =
+        if inner_parallel_warmup(unique.len(), pool_parallelism()) {
+            // Few models, many cores: train sequentially on this thread so
+            // the nested fan-outs inside each training get the whole pool.
+            unique.iter().map(|spec| zoo_model(spec, no_cache)).collect()
+        } else {
+            scheduler::execute(unique.len(), 1, |i, _| zoo_model(unique[i], no_cache))
+        };
+    assignment.into_iter().map(|i| trained[i].clone()).collect()
 }
 
 fn write_meta(r: &TrainReport) -> String {

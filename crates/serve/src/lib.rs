@@ -51,7 +51,10 @@
 //! not match its model's input will panic the engine thread, as the same
 //! tensor would panic [`bitrobust_nn::Model::infer`] directly. Submitting
 //! well-formed single-sample images (`[1, C, H, W]`) is the caller's
-//! contract.
+//! contract. A dead engine stops admitting work: the requests it held or
+//! had queued are dropped, so their [`Ticket::wait`] panics, later
+//! submissions fail with [`SubmitError::ShuttingDown`], and
+//! [`InferenceService::shutdown`] panics to report the death.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

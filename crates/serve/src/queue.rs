@@ -21,7 +21,7 @@ use std::time::{Duration, Instant};
 pub enum PushError {
     /// The queue held `capacity` items.
     Full,
-    /// [`BoundedQueue::close`] was called.
+    /// [`BoundedQueue::close`] or [`BoundedQueue::abandon`] was called.
     Closed,
 }
 
@@ -113,6 +113,18 @@ impl<T> BoundedQueue<T> {
         self.available.notify_all();
     }
 
+    /// Closes the queue and drops every pending item, for a consumer that
+    /// stops for good: pushes shed with [`PushError::Closed`] from now on,
+    /// and no admitted item waits for a wave that will never come.
+    pub fn abandon(&self) {
+        // Called from drop guards, possibly while unwinding, so it must not
+        // panic. Every update leaves the state valid, so a poisoned lock is
+        // safe to use.
+        let mut state = self.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        state.closed = true;
+        state.items.clear();
+    }
+
     /// Items shed so far (full- and closed-queue rejections).
     pub fn shed_count(&self) -> u64 {
         self.state.lock().expect("queue lock poisoned").shed
@@ -166,6 +178,16 @@ mod tests {
         queue.push(2).unwrap();
         queue.close();
         assert_eq!(queue.wait_wave(64, Duration::from_secs(60)), Some(vec![1, 2]));
+        assert_eq!(queue.wait_wave(64, Duration::from_secs(60)), None);
+    }
+
+    #[test]
+    fn abandon_drops_the_backlog_and_refuses_pushes() {
+        let queue = BoundedQueue::new(8);
+        queue.push(1).unwrap();
+        queue.abandon();
+        assert!(queue.is_empty());
+        assert_eq!(queue.push(2), Err(PushError::Closed));
         assert_eq!(queue.wait_wave(64, Duration::from_secs(60)), None);
     }
 

@@ -118,9 +118,10 @@ impl Ticket {
     ///
     /// # Panics
     ///
-    /// Panics if the engine thread died without responding (it panicked —
-    /// e.g. on an image whose shape doesn't fit the model); the service
-    /// otherwise always responds, even to requests drained at shutdown.
+    /// Panics if the engine thread died without responding: it panicked
+    /// (e.g. on an image whose shape doesn't fit the model) while this
+    /// request was in its wave or still queued. The service otherwise
+    /// always responds, even to requests drained at shutdown.
     pub fn wait(self) -> ServeResponse {
         self.rx.recv().expect("serve engine dropped a request without responding")
     }
@@ -168,6 +169,7 @@ impl InferenceService {
             std::thread::Builder::new()
                 .name("bitrobust-serve-engine".into())
                 .spawn(move || {
+                    let _abandon = AbandonOnExit(&queue);
                     while let Some(wave) = queue.wait_wave(config.max_batch, config.max_delay) {
                         bitrobust_obs::gauge_set("serve.queue_depth", queue.len() as u64);
                         serve_wave(wave, config.max_batch, &completed, &in_flight);
@@ -258,6 +260,20 @@ impl InferenceService {
 impl Drop for InferenceService {
     fn drop(&mut self) {
         self.stop();
+    }
+}
+
+/// Owned by the engine thread. When the engine exits, including by a
+/// panic, it [abandons](BoundedQueue::abandon) the queue: later
+/// submissions are refused with [`SubmitError::ShuttingDown`], and the
+/// queued requests are dropped, so their [`Ticket::wait`] panics instead
+/// of blocking on an engine that is gone. After a normal exit the queue is
+/// already closed and empty.
+struct AbandonOnExit<'a>(&'a BoundedQueue<PendingRequest>);
+
+impl Drop for AbandonOnExit<'_> {
+    fn drop(&mut self) {
+        self.0.abandon();
     }
 }
 

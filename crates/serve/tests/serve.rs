@@ -7,6 +7,7 @@
 //! dropped: once the service shuts down, `completed + shed == submitted`
 //! and every issued ticket resolves.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -255,4 +256,39 @@ fn unknown_model_is_rejected_at_submit() {
     );
     let stats = service.shutdown();
     assert_eq!((stats.submitted, stats.completed, stats.shed), (0, 0, 0));
+}
+
+/// An image of the wrong shape kills the engine thread. The service must
+/// then stop admitting work: a later request is refused, or its ticket
+/// panics, and no `wait` blocks.
+#[test]
+fn dead_engine_stops_admitting_work() {
+    let registry = Arc::new(ModelRegistry::new());
+    registry.publish("mlp", tiny_model(0));
+    let service = InferenceService::start(registry, ServeConfig::default());
+    let bad = service.submit("mlp", Tensor::zeros(&[1, 1, 10, 10])).expect("admitted");
+    assert!(catch_unwind(AssertUnwindSafe(|| bad.wait())).is_err(), "the engine must die");
+
+    // A request admitted before the dying engine has abandoned its queue
+    // must see its ticket panic. Submit from a helper thread, so a ticket
+    // that blocks fails this test on a deadline instead of hanging it.
+    let image = test_images(1).pop().unwrap();
+    let (done, outcome) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let refused = loop {
+            match service.submit("mlp", image.clone()) {
+                Ok(ticket) => assert!(catch_unwind(AssertUnwindSafe(|| ticket.wait())).is_err()),
+                Err(refused) => break refused,
+            }
+        };
+        let _ = done.send((refused, service));
+    });
+    let (refused, service) = outcome
+        .recv_timeout(Duration::from_secs(30))
+        .expect("a request blocked on the dead engine");
+    assert_eq!(refused, SubmitError::ShuttingDown);
+    assert!(
+        catch_unwind(AssertUnwindSafe(|| service.shutdown())).is_err(),
+        "shutdown must report the engine's death"
+    );
 }

@@ -112,11 +112,6 @@ impl<'a> GemmOperand<'a> {
         Self { buf, rs: ld, cs: 1 }
     }
 
-    #[inline]
-    fn at(&self, r: usize, c: usize) -> f32 {
-        self.buf[r * self.rs + c * self.cs]
-    }
-
     /// Panics unless every element of an `rows x cols` view is in bounds.
     fn check(&self, rows: usize, cols: usize) {
         if rows > 0 && cols > 0 {
@@ -516,9 +511,9 @@ fn without_padding<'s>(b: BOperand<'s>, sample: &'s mut Vec<f32>) -> BOperand<'s
 /// Packs the `m x k` matrix `A` into row panels of [`MR`] spanning all of
 /// K: `panel[p * MR + i] = A[ir*MR + i, p]`, zero-padded past `m`.
 ///
-/// The two stride patterns that occur in practice (contiguous rows for
-/// untransposed A, contiguous columns for a pack-time transpose) get
-/// branch-free inner loops; anything else falls back to a generic gather.
+/// Every [`GemmOperand`] has contiguous rows (untransposed A) or
+/// contiguous columns (a pack-time transpose), and each gets a
+/// branch-free inner loop.
 fn pack_a(buf: &mut [f32], a: GemmOperand, m: usize, k: usize) {
     for (ir, panel) in buf.chunks_exact_mut(k * MR).enumerate() {
         let rows = MR.min(m - ir * MR);
@@ -534,17 +529,11 @@ fn pack_a(buf: &mut [f32], a: GemmOperand, m: usize, k: usize) {
                     panel[p * MR + i] = v;
                 }
             }
-        } else if a.rs == 1 {
+        } else {
             // A is a pack-time transpose: each k-slice is contiguous.
             for (p, chunk) in panel.chunks_exact_mut(MR).enumerate() {
                 let src = &a.buf[p * a.cs + i0..][..rows];
                 chunk[..rows].copy_from_slice(src);
-            }
-        } else {
-            for (p, chunk) in panel.chunks_exact_mut(MR).enumerate() {
-                for (i, slot) in chunk.iter_mut().enumerate().take(rows) {
-                    *slot = a.at(i0 + i, p);
-                }
             }
         }
     }
@@ -574,18 +563,12 @@ fn pack_b(buf: &mut [f32], b: BOperand, pc: usize, jc: usize, kc: usize, nc: usi
                         let src = &b.buf[(pc + p) * b.rs + j0..][..cols];
                         chunk[..cols].copy_from_slice(src);
                     }
-                } else if b.rs == 1 {
+                } else {
                     // B is a pack-time transpose: each column is contiguous.
                     for j in 0..cols {
                         let src = &b.buf[(j0 + j) * b.cs + pc..][..kc];
                         for (p, &v) in src.iter().enumerate() {
                             panel[p * NR + j] = v;
-                        }
-                    }
-                } else {
-                    for (p, chunk) in panel.chunks_exact_mut(NR).enumerate() {
-                        for (j, slot) in chunk.iter_mut().enumerate().take(cols) {
-                            *slot = b.at(pc + p, j0 + j);
                         }
                     }
                 }

@@ -15,7 +15,8 @@
 //!   transpose nor a column matrix is ever materialized on the hot path;
 //! * a persistent fork-join [`ThreadPool`] with [`parallel_for`] and
 //!   [`parallel_for_disjoint_chunks`], used by the layers in `bitrobust-nn`
-//!   for per-sample batch parallelism;
+//!   for per-sample batch parallelism; a panic inside a fan-out reaches
+//!   its caller once every worker has left the closure;
 //! * a tiny binary serialization format ([`write_tensors`]/[`read_tensors`])
 //!   for persisting trained models.
 //!

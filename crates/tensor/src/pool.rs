@@ -6,21 +6,29 @@
 //! atomic index counter (self-scheduling), which balances uneven per-item
 //! costs such as im2col on boundary samples.
 //!
-//! The pool intentionally exposes only *fork-join* parallelism: `parallel_for`
-//! does not return until every index has been processed, which is what makes
-//! lending non-`'static` closures to the workers sound.
+//! The pool intentionally exposes only *fork-join* parallelism. Each
+//! background worker owns a job channel and runs the jobs it receives in
+//! order. `parallel_for` sends its job to every worker, runs its own share,
+//! and then waits for one report per worker. Every participant reports
+//! exactly once, after its last call of the closure, carrying the panic it
+//! caught, if any. The submitter neither returns nor unwinds before the
+//! last report, which is what makes lending non-`'static` closures to the
+//! workers sound, and it then resumes a caught panic on the caller (the
+//! contract of `std::thread::scope`).
 
+use std::any::Any;
 use std::cell::Cell;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{mpsc, Arc, OnceLock};
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 
 thread_local! {
     /// Whether the current thread is executing a pool job. Nested
     /// `parallel_for` calls from inside a job run inline instead of
     /// re-submitting: the outer fan-out already saturates the pool, and a
-    /// nested submission would deadlock on the single-job-in-flight lock.
+    /// nested submission from a worker would wait on its own job channel.
     static IN_POOL_JOB: Cell<bool> = const { Cell::new(false) };
 }
 
@@ -48,34 +56,54 @@ const SERIAL_CUTOFF: usize = 2;
 
 type Task = dyn Fn(usize) + Sync;
 
-/// A type-erased pointer to the submitted closure plus its iteration state.
+/// What a participant reports: the payload of the panic it caught, if any.
+type Report = Option<Box<dyn Any + Send>>;
+
+/// One `parallel_for` call as a participant sees it.
 ///
 /// The raw pointer borrows from the submitting stack frame. This is sound
-/// because [`ThreadPool::parallel_for`] does not return until every worker
-/// has finished executing the job (see `active` accounting below).
+/// because `ThreadPool::parallel_for` neither returns nor unwinds before
+/// every worker it sent the job to has reported, and a worker reports only
+/// after `Job::run` has returned.
 #[derive(Clone)]
 struct Job {
     func: *const Task,
-    next: Arc<AtomicUsize>,
-    n: usize,
+    shared: Arc<Shared>,
 }
 
-// SAFETY: the closure behind `func` is `Sync`, and the pointer is only
-// dereferenced while the submitting frame is provably alive (the submitter
-// blocks until `active == 0`).
+// SAFETY: `shared` is `Send` on its own. The closure behind `func` is
+// `Sync`, so calling it from another thread is sound, and `func` is only
+// dereferenced in `Job::run`, which the submitting frame outlives (see
+// `Job`).
 unsafe impl Send for Job {}
 
-struct State {
-    job: Option<Job>,
-    epoch: u64,
-    active: usize,
-    shutdown: bool,
+/// The state every participant of one job shares.
+struct Shared {
+    n: usize,
+    next: AtomicUsize,
+    reports: mpsc::Sender<Report>,
 }
 
-struct Inner {
-    state: Mutex<State>,
-    work_ready: Condvar,
-    work_done: Condvar,
+impl Job {
+    /// Claims and runs indices until none is left, and returns the panic of
+    /// the closure, if it panicked. After a panic no participant claims
+    /// another index.
+    fn run(&self) -> Report {
+        let _scope = JobScope::enter();
+        let Shared { n, next, .. } = &*self.shared;
+        // SAFETY: the submitter keeps the closure alive until this
+        // participant has reported, which happens only after `run` returns.
+        let func = unsafe { &*self.func };
+        panic::catch_unwind(AssertUnwindSafe(|| loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= *n {
+                break;
+            }
+            func(i);
+        }))
+        .err()
+        .inspect(|_| next.store(*n, Ordering::Relaxed))
+    }
 }
 
 /// A fixed-size fork-join thread pool.
@@ -95,14 +123,14 @@ struct Inner {
 /// assert_eq!(sums[64].load(std::sync::atomic::Ordering::Relaxed), 128);
 /// ```
 pub struct ThreadPool {
-    inner: Arc<Inner>,
-    submit_lock: Mutex<()>,
-    workers: usize,
+    /// One job channel per background worker. Dropping the pool drops the
+    /// senders, and each worker exits once its channel is drained.
+    workers: Vec<mpsc::Sender<Job>>,
 }
 
 impl std::fmt::Debug for ThreadPool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ThreadPool").field("workers", &self.workers).finish()
+        f.debug_struct("ThreadPool").field("workers", &self.workers()).finish()
     }
 }
 
@@ -110,45 +138,35 @@ impl ThreadPool {
     /// Creates a pool with `workers` background threads.
     ///
     /// The submitting thread also participates in each job, so total
-    /// parallelism is `workers + 1`.
+    /// parallelism is `workers + 1`. With 0 workers every job runs inline
+    /// on the calling thread.
     ///
     /// # Panics
     ///
-    /// Panics if `workers == 0`; use [`ThreadPool::serial`] for a pool that
-    /// runs everything inline.
+    /// Panics if a worker thread cannot be spawned.
     pub fn new(workers: usize) -> Self {
-        assert!(workers > 0, "ThreadPool::new requires at least one worker");
-        let inner = Arc::new(Inner {
-            state: Mutex::new(State { job: None, epoch: 0, active: 0, shutdown: false }),
-            work_ready: Condvar::new(),
-            work_done: Condvar::new(),
-        });
-        for _ in 0..workers {
-            let inner = Arc::clone(&inner);
-            std::thread::Builder::new()
-                .name("bitrobust-pool".into())
-                .spawn(move || worker_loop(&inner))
-                .expect("failed to spawn pool worker");
-        }
-        Self { inner, submit_lock: Mutex::new(()), workers }
-    }
-
-    /// Creates a degenerate pool that executes jobs on the calling thread.
-    pub fn serial() -> Self {
-        Self {
-            inner: Arc::new(Inner {
-                state: Mutex::new(State { job: None, epoch: 0, active: 0, shutdown: false }),
-                work_ready: Condvar::new(),
-                work_done: Condvar::new(),
-            }),
-            submit_lock: Mutex::new(()),
-            workers: 0,
-        }
+        let workers = (0..workers)
+            .map(|_| {
+                let (sender, inbox) = mpsc::channel::<Job>();
+                std::thread::Builder::new()
+                    .name("bitrobust-pool".into())
+                    .spawn(move || {
+                        for job in inbox {
+                            // Cannot fail: the submitter keeps the receiver
+                            // until every report is in.
+                            let _ = job.shared.reports.send(job.run());
+                        }
+                    })
+                    .expect("failed to spawn pool worker");
+                sender
+            })
+            .collect();
+        Self { workers }
     }
 
     /// Number of background worker threads (0 for a serial pool).
     pub fn workers(&self) -> usize {
-        self.workers
+        self.workers.len()
     }
 
     /// Invokes `f(i)` for every `i in 0..n`, distributing indices over the
@@ -161,6 +179,15 @@ impl ThreadPool {
     /// job executes its iterations inline on the calling worker (the outer
     /// fan-out already owns the pool), so parallel layers can be driven from
     /// parallel outer loops such as the fault-injection campaign engine.
+    /// Concurrent submitters do not queue on each other: each runs its own
+    /// job at once, and every worker runs the jobs it receives in order.
+    ///
+    /// # Panics
+    ///
+    /// If `f` panics on any thread, no index is claimed after the panic.
+    /// Once every participant has left `f`, a caught panic resumes on the
+    /// caller with its original payload (the calling thread's own, if it
+    /// panicked). The pool stays usable.
     pub fn parallel_for<F>(&self, n: usize, f: F)
     where
         F: Fn(usize) + Sync,
@@ -168,7 +195,7 @@ impl ThreadPool {
         if n == 0 {
             return;
         }
-        if self.workers == 0 || n < SERIAL_CUTOFF || IN_POOL_JOB.with(Cell::get) {
+        if self.workers.is_empty() || n < SERIAL_CUTOFF || IN_POOL_JOB.with(Cell::get) {
             bitrobust_obs::counter_add("pool.inline", 1);
             for i in 0..n {
                 f(i);
@@ -177,90 +204,26 @@ impl ThreadPool {
         }
         bitrobust_obs::counter_add("pool.jobs", 1);
 
-        // One job in flight at a time; concurrent submitters queue here.
-        let _guard = self.submit_lock.lock();
-
-        let next = Arc::new(AtomicUsize::new(0));
+        let (reports, inbox) = mpsc::channel();
         let f_ref: &(dyn Fn(usize) + Sync + '_) = &f;
-        // SAFETY: lifetime erasure only; the pointer is dropped before this
-        // function returns (workers finish before `active` reaches zero).
+        // SAFETY: lifetime erasure only; the pointer is not dereferenced
+        // after this function returns or unwinds, because it first receives
+        // one report from every worker the job was sent to.
         let f_static: &'static Task = unsafe { std::mem::transmute(f_ref) };
-        let job = Job { func: f_static as *const Task, next: Arc::clone(&next), n };
-
-        let epoch;
-        {
-            let mut state = self.inner.state.lock();
-            state.job = Some(job);
-            state.epoch += 1;
-            state.active = self.workers;
-            epoch = state.epoch;
-        }
-        self.inner.work_ready.notify_all();
+        let job = Job {
+            func: f_static as *const Task,
+            shared: Arc::new(Shared { n, next: AtomicUsize::new(0), reports }),
+        };
+        let sent = self.workers.iter().filter(|worker| worker.send(job.clone()).is_ok()).count();
 
         // The submitter chips in instead of idling.
-        {
-            let _scope = JobScope::enter();
-            loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                f(i);
-            }
-        }
-
-        let mut state = self.inner.state.lock();
-        while !(state.active == 0 && state.epoch == epoch) {
-            self.inner.work_done.wait(&mut state);
-        }
-        state.job = None;
-    }
-}
-
-impl Drop for ThreadPool {
-    fn drop(&mut self) {
-        let mut state = self.inner.state.lock();
-        state.shutdown = true;
-        drop(state);
-        self.inner.work_ready.notify_all();
-    }
-}
-
-fn worker_loop(inner: &Inner) {
-    let mut last_epoch = 0u64;
-    loop {
-        let job = {
-            let mut state = inner.state.lock();
-            loop {
-                if state.shutdown {
-                    return;
-                }
-                if state.epoch != last_epoch {
-                    last_epoch = state.epoch;
-                    break state.job.clone().expect("epoch advanced without a job");
-                }
-                inner.work_ready.wait(&mut state);
-            }
-        };
-
-        // SAFETY: the submitter keeps the closure alive until `active == 0`,
-        // which we only signal after the last dereference below.
-        let func = unsafe { &*job.func };
-        {
-            let _scope = JobScope::enter();
-            loop {
-                let i = job.next.fetch_add(1, Ordering::Relaxed);
-                if i >= job.n {
-                    break;
-                }
-                func(i);
-            }
-        }
-
-        let mut state = inner.state.lock();
-        state.active -= 1;
-        if state.active == 0 {
-            inner.work_done.notify_all();
+        let own = job.run();
+        // Collect every report before dropping any payload, so nothing can
+        // unwind out of here while a worker may still be inside `f`.
+        let reports: Vec<Report> =
+            (0..sent).map(|_| inbox.recv().expect("the job holds a report sender")).collect();
+        if let Some(payload) = own.into_iter().chain(reports.into_iter().flatten()).next() {
+            panic::resume_unwind(payload);
         }
     }
 }
@@ -274,18 +237,15 @@ fn global_pool() -> &'static ThreadPool {
             .and_then(|s| s.parse::<usize>().ok())
             .unwrap_or(available)
             .clamp(1, 64);
-        if threads <= 1 {
-            ThreadPool::serial()
-        } else {
-            // The submitter participates, so spawn one fewer worker.
-            ThreadPool::new(threads - 1)
-        }
+        // The submitter participates, so spawn one fewer worker.
+        ThreadPool::new(threads - 1)
     })
 }
 
 /// Runs `f(i)` for `i in 0..n` on the process-wide pool.
 ///
-/// See [`ThreadPool::parallel_for`] for the contract on `f`.
+/// See [`ThreadPool::parallel_for`] for the contract on `f`, including what
+/// happens when it panics.
 pub fn parallel_for<F>(n: usize, f: F)
 where
     F: Fn(usize) + Sync,
@@ -311,7 +271,8 @@ pub fn pool_parallelism() -> usize {
 ///
 /// # Panics
 ///
-/// Panics if `chunk == 0`.
+/// Panics if `chunk == 0`, and with `f`'s payload if `f` panics (as
+/// [`ThreadPool::parallel_for`]).
 pub fn parallel_for_disjoint_chunks<F>(out: &mut [f32], chunk: usize, f: F)
 where
     F: Fn(usize, &mut [f32]) + Sync,
@@ -362,9 +323,11 @@ mod tests {
 
     #[test]
     fn serial_pool_runs_inline() {
-        let pool = ThreadPool::serial();
+        let pool = ThreadPool::new(0);
+        let caller = std::thread::current().id();
         let counter = AtomicUsize::new(0);
         pool.parallel_for(10, |_| {
+            assert_eq!(std::thread::current().id(), caller, "a serial pool runs on the caller");
             counter.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(counter.load(Ordering::Relaxed), 10);
@@ -424,7 +387,7 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_submitters_serialize_safely() {
+    fn concurrent_submitters_share_the_workers() {
         let pool = std::sync::Arc::new(ThreadPool::new(2));
         let total = std::sync::Arc::new(AtomicUsize::new(0));
         std::thread::scope(|s| {
