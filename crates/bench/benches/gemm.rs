@@ -12,7 +12,7 @@
 //! Running this bench writes `BENCH_gemm.json` at the workspace root with
 //! naive vs packed GFLOP/s per shape. CI uploads it and fails the build if
 //! the packed kernel loses its edge (graded floors, relaxed on 1-thread
-//! runners like the other gates).
+//! runners).
 
 use std::time::Instant;
 

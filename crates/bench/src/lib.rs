@@ -1,12 +1,11 @@
 //! # bitrobust-bench
 //!
-//! The repo's three gated comparison programs, one `harness = false`
-//! `fn main` each under `benches/`: `gemm` (packed vs naive kernels),
-//! `robust_eval` (campaign engine vs its serial references) and
-//! `serve_load` (open-loop serving). Each asserts its bit-identity
-//! guarantees before the clock starts, then writes `BENCH_<name>.json` at
-//! the workspace root for CI to gate. This library is the timer and JSON
-//! writer they share. Paper-protocol timings (RandBET training, the
+//! The repo's one gated kernel comparison, `benches/gemm.rs` (a
+//! `harness = false` `fn main`: packed vs naive GEMM on the paper's layer
+//! shapes). It asserts the packed kernels agree with the naive reference
+//! before the clock starts, then writes `BENCH_gemm.json` at the
+//! workspace root for CI to gate. This library is its timer and JSON
+//! writer. Paper-protocol timings and their gates (RandBET training, the
 //! profiled-chip sweep, serving at fixed loads) live in the separate
 //! `e2e_bench` package.
 

@@ -33,10 +33,11 @@
 //! * [`Campaign::serial`] — the one-batch-at-a-time reference path,
 //!   bit-identical to the parallel engine (determinism suite, benchmarks).
 //!
-//! Defaults: `batch_size = EVAL_BATCH`, `mode = Mode::Eval`. All paths
-//! return byte-identical results for the same cells. Grids of cells —
-//! models × rates × chips, or a profiled chip's voltage/offset span — are
-//! a [`ChipAxis`] run through [`crate::run_sweep`].
+//! Every campaign evaluates in test batches of [`EVAL_BATCH`]; the mode
+//! defaults to [`Mode::Eval`]. All paths return byte-identical results
+//! for the same cells. Grids of cells — models × rates × chips, or a
+//! profiled chip's voltage/offset span — are a [`ChipAxis`] run through
+//! [`crate::run_sweep`].
 //!
 //! # Work-item granularity
 //!
@@ -140,15 +141,11 @@ struct BatchPartial {
     conf: f64,
 }
 
-/// Evaluates one test batch against one replica.
-fn eval_batch(
-    replica: &Model,
-    dataset: &Dataset,
-    start: usize,
-    end: usize,
-    mode: Mode,
-) -> BatchPartial {
-    let (x, labels) = dataset.batch_range(start, end);
+/// Evaluates test batch `batch` (examples `batch * EVAL_BATCH ..`, the
+/// last batch partial) against one replica.
+fn eval_batch(replica: &Model, dataset: &Dataset, batch: usize, mode: Mode) -> BatchPartial {
+    let start = batch * EVAL_BATCH;
+    let (x, labels) = dataset.batch_range(start, (start + EVAL_BATCH).min(dataset.len()));
     let logits = replica.infer(&x, mode);
     let probs = softmax_rows(&logits);
     let preds = probs.argmax_rows();
@@ -212,7 +209,6 @@ impl CellImage<'_> {
 pub struct Campaign<'a> {
     templates: Vec<&'a Model>,
     dataset: &'a Dataset,
-    batch_size: usize,
     mode: Mode,
     serial: bool,
     #[allow(clippy::type_complexity)]
@@ -235,19 +231,10 @@ impl<'a> Campaign<'a> {
         Self {
             templates: templates.to_vec(),
             dataset,
-            batch_size: EVAL_BATCH,
             mode: Mode::Eval,
             serial: false,
             on_cell: None,
         }
-    }
-
-    /// Test batch size (default [`EVAL_BATCH`]). Affects wall-clock and
-    /// the f64 confidence regrouping documented in the module docs, never
-    /// the per-cell error counts.
-    pub fn batch_size(mut self, batch_size: usize) -> Self {
-        self.batch_size = batch_size;
-        self
     }
 
     /// Inference mode (default [`Mode::Eval`]; [`Mode::Train`] is
@@ -259,7 +246,7 @@ impl<'a> Campaign<'a> {
 
     /// Run the serial reference path: one pattern and one batch at a time
     /// on the calling thread, bit-identical to the parallel engine. Exists
-    /// for determinism tests and the serial-vs-campaign benchmark.
+    /// for the determinism tests and the benchmark's sampled-cell check.
     pub fn serial(mut self) -> Self {
         self.serial = true;
         self
@@ -280,9 +267,8 @@ impl<'a> Campaign<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if the configured batch size is 0, the dataset is empty, or
-    /// the mode is [`Mode::Train`]; or if an image's shapes do not match
-    /// its template.
+    /// Panics if the dataset is empty or the mode is [`Mode::Train`], or
+    /// if an image's shapes do not match its template.
     pub fn run(self, images: &[QuantizedModel]) -> Vec<EvalResult> {
         self.drive(images.len(), |i| (0, CellImage::Borrowed(&images[i])), true)
     }
@@ -334,8 +320,8 @@ impl<'a> Campaign<'a> {
         make: impl Fn(usize) -> (usize, CellImage<'i>),
         eager: bool,
     ) -> Vec<EvalResult> {
-        let Campaign { templates, dataset, batch_size, mode, serial, mut on_cell } = self;
-        validate(dataset, batch_size, mode);
+        let Campaign { templates, dataset, mode, serial, mut on_cell } = self;
+        validate(dataset, mode);
         let n = dataset.len();
         let mut results = Vec::with_capacity(n_cells);
 
@@ -345,9 +331,8 @@ impl<'a> Campaign<'a> {
                 bitrobust_obs::counter_add("campaign.cells", 1);
                 let (template, cell) = make(i);
                 let replica = build_replica(templates[template], cell.image());
-                let partials = scheduler::execute_serial(1, n.div_ceil(batch_size), |_, batch| {
-                    let start = batch * batch_size;
-                    eval_batch(&replica, dataset, start, (start + batch_size).min(n), mode)
+                let partials = scheduler::execute_serial(1, n.div_ceil(EVAL_BATCH), |_, batch| {
+                    eval_batch(&replica, dataset, batch, mode)
                 });
                 results.push(reduce_pattern(&partials, n));
                 if let Some(callback) = on_cell.as_mut() {
@@ -362,7 +347,7 @@ impl<'a> Campaign<'a> {
         // runs use pool-sized waves so image construction stays bounded and
         // cells land promptly. The split never changes bytes — cells are
         // independent — only the memory and delivery profile.
-        let n_batches = n.div_ceil(batch_size);
+        let n_batches = n.div_ceil(EVAL_BATCH);
         let wave = if eager && on_cell.is_none() {
             n_cells.max(1)
         } else {
@@ -402,10 +387,7 @@ impl<'a> Campaign<'a> {
                     };
                     (template, tag, replica, item_span)
                 },
-                |(_, _, replica, _), _, batch| {
-                    let first = batch * batch_size;
-                    eval_batch(replica, dataset, first, (first + batch_size).min(n), mode)
-                },
+                |(_, _, replica, _), _, batch| eval_batch(replica, dataset, batch, mode),
                 |_, (template, tag, replica, item_span)| {
                     scratch.give_back(template, tag, replica);
                     drop(item_span);
@@ -425,28 +407,21 @@ impl<'a> Campaign<'a> {
     }
 }
 
-/// Evaluates one model directly (no quantized image, no replica build):
-/// the single-pattern campaign behind [`crate::evaluate`]'s batch-parallel
-/// clean-eval path.
-pub(crate) fn eval_model(
-    model: &Model,
-    dataset: &Dataset,
-    batch_size: usize,
-    mode: Mode,
-) -> EvalResult {
-    validate(dataset, batch_size, mode);
+/// Evaluates one model directly in [`Mode::Eval`] (no quantized image, no
+/// replica build): the single-pattern campaign behind
+/// [`crate::evaluate`]'s batch-parallel clean-eval path.
+pub(crate) fn eval_model(model: &Model, dataset: &Dataset) -> EvalResult {
+    validate(dataset, Mode::Eval);
     let n = dataset.len();
     // Per-batch partials land in dedicated slots and are reduced serially
     // in batch order — independent of thread count and scheduling.
-    let partials = scheduler::execute(1, n.div_ceil(batch_size), |_, batch| {
-        let start = batch * batch_size;
-        eval_batch(model, dataset, start, (start + batch_size).min(n), mode)
+    let partials = scheduler::execute(1, n.div_ceil(EVAL_BATCH), |_, batch| {
+        eval_batch(model, dataset, batch, Mode::Eval)
     });
     reduce_pattern(&partials, n)
 }
 
-fn validate(dataset: &Dataset, batch_size: usize, mode: Mode) {
-    assert!(batch_size > 0, "batch size must be positive");
+fn validate(dataset: &Dataset, mode: Mode) {
     mode.assert_inference();
     assert!(!dataset.is_empty(), "dataset must not be empty");
 }
@@ -580,7 +555,7 @@ impl PreparedAxis<'_> {
 mod tests {
     use super::*;
     use crate::arch::{build, ArchKind, NormKind};
-    use crate::{evaluate, robust_eval, EVAL_BATCH};
+    use crate::{evaluate, robust_eval};
     use bitrobust_data::SynthDataset;
     use bitrobust_quant::QuantScheme;
     use rand::SeedableRng;
@@ -625,7 +600,7 @@ mod tests {
             .iter()
             .map(|q| {
                 q.write_to(&mut model);
-                evaluate(&model, &test, EVAL_BATCH, Mode::Eval)
+                evaluate(&model, &test)
             })
             .collect();
         model.set_param_tensors(&snapshot);

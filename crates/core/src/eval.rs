@@ -19,7 +19,9 @@ use bitrobust_tensor::softmax_rows;
 use crate::sweep::{run_sweep, SweepAxis, SweepModel, SweepOptions};
 use crate::{ChipAxis, QuantizedModel};
 
-/// Default evaluation batch size.
+/// The test batch size of every evaluation: clean, robust, and sweep
+/// cells. Confidence partial sums regroup at batch boundaries, so sweep
+/// cell identities record it.
 pub const EVAL_BATCH: usize = 128;
 
 /// Result of a single (clean or perturbed) evaluation pass.
@@ -31,7 +33,8 @@ pub struct EvalResult {
     pub confidence: f32,
 }
 
-/// Evaluates the model as-is on a dataset, batch-parallel.
+/// Evaluates the model as-is on a dataset, batch-parallel, in batches of
+/// [`EVAL_BATCH`] in [`Mode::Eval`].
 ///
 /// Batches fan out over the thread pool as a single-pattern campaign
 /// ([`crate::campaign`]); the result is byte-identical to
@@ -39,37 +42,29 @@ pub struct EvalResult {
 ///
 /// # Panics
 ///
-/// Panics if `batch_size == 0`, `dataset` is empty, or `mode` is
-/// [`Mode::Train`].
-pub fn evaluate(model: &Model, dataset: &Dataset, batch_size: usize, mode: Mode) -> EvalResult {
-    crate::campaign::eval_model(model, dataset, batch_size, mode)
+/// Panics if `dataset` is empty.
+pub fn evaluate(model: &Model, dataset: &Dataset) -> EvalResult {
+    crate::campaign::eval_model(model, dataset)
 }
 
-/// The serial reference implementation of [`evaluate`]: one batch at a
-/// time on the calling thread, in dataset order, bit-identical results.
-/// Exists for the determinism suite and the clean-eval benchmark; real
-/// callers should use [`evaluate`].
+/// The serial reference implementation of [`evaluate`]: one batch of
+/// [`EVAL_BATCH`] at a time on the calling thread, in dataset order,
+/// bit-identical results. Exists for the determinism suite; real callers
+/// should use [`evaluate`].
 ///
 /// # Panics
 ///
 /// As [`evaluate`].
-pub fn evaluate_serial(
-    model: &Model,
-    dataset: &Dataset,
-    batch_size: usize,
-    mode: Mode,
-) -> EvalResult {
-    assert!(batch_size > 0, "batch size must be positive");
-    mode.assert_inference();
+pub fn evaluate_serial(model: &Model, dataset: &Dataset) -> EvalResult {
     assert!(!dataset.is_empty(), "dataset must not be empty");
     let mut wrong = 0usize;
     let mut conf_sum = 0f64;
     let n = dataset.len();
     let mut index = 0;
     while index < n {
-        let end = (index + batch_size).min(n);
+        let end = (index + EVAL_BATCH).min(n);
         let (x, labels) = dataset.batch_range(index, end);
-        let logits = model.infer(&x, mode);
+        let logits = model.infer(&x, Mode::Eval);
         let probs = softmax_rows(&logits);
         let preds = probs.argmax_rows();
         for (row, (&label, &pred)) in labels.iter().zip(&preds).enumerate() {
@@ -146,9 +141,9 @@ impl RobustEval {
 /// comparable).
 ///
 /// A store-free, one-model [`crate::run_sweep`] at
-/// [`SweepOptions::default`] ([`EVAL_BATCH`], [`Mode::Eval`]). The axis
-/// may be uniform chips at any rate grid (a one-chip axis is a single
-/// fixed pattern) or a profiled chip's voltage/offset span, and each
+/// [`SweepOptions::default`] ([`Mode::Eval`], batches of [`EVAL_BATCH`]).
+/// The axis may be uniform chips at any rate grid (a one-chip axis is a
+/// single fixed pattern) or a profiled chip's voltage/offset span, and each
 /// (rate, chip) cell is bit-identical to the same cell of any larger
 /// sweep. The model is only read: patterns are written into scratch
 /// replicas, never the model.
@@ -185,18 +180,21 @@ mod tests {
     #[test]
     fn untrained_model_is_near_chance() {
         let (model, test) = tiny_setup();
-        let r = evaluate(&model, &test, EVAL_BATCH, Mode::Eval);
+        let r = evaluate(&model, &test);
         assert!(r.error > 0.6, "untrained error {} should be near chance", r.error);
         assert!(r.confidence > 0.0 && r.confidence <= 1.0);
     }
 
+    /// Sets of one example, under one batch, of exactly one batch, just
+    /// over one batch, and of many batches with a partial last one.
     #[test]
     fn evaluate_matches_serial_reference() {
         let (model, test) = tiny_setup();
-        for batch_size in [EVAL_BATCH, 7, 1000, 2048] {
-            let parallel = evaluate(&model, &test, batch_size, Mode::Eval);
-            let serial = evaluate_serial(&model, &test, batch_size, Mode::Eval);
-            assert_eq!(parallel, serial, "batch_size {batch_size}");
+        for n in [1, 7, 127, 128, 129, 1000] {
+            let (x, y) = test.batch_range(0, n);
+            let subset = Dataset::new("subset", x, y, test.n_classes());
+            let parallel = evaluate(&model, &subset);
+            assert_eq!(parallel, evaluate_serial(&model, &subset), "{n} examples");
         }
     }
 

@@ -10,7 +10,7 @@ use bitrobust_data::Dataset;
 use bitrobust_nn::{Mode, Model};
 use bitrobust_quant::QuantScheme;
 
-use crate::QuantizedModel;
+use crate::{QuantizedModel, EVAL_BATCH};
 
 /// Weight-distribution redundancy metrics for a trained model.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -98,22 +98,15 @@ pub fn redundancy_metrics(
 /// in `dataset` — how many units the network actually uses.
 ///
 /// The clean quantized weights under `scheme` go into a clone, so `model`
-/// is never written. Each batch runs in [`Mode::Eval`] through
-/// [`Model::layers`] up to and including the last top-level `Relu`. The
-/// result is a ratio of exact counts, so it does not depend on
-/// `batch_size`.
+/// is never written. Each batch of [`EVAL_BATCH`] runs in [`Mode::Eval`]
+/// through [`Model::layers`] up to and including the last top-level
+/// `Relu`. The result is a ratio of exact counts, so it does not depend on
+/// the batch size.
 ///
 /// # Panics
 ///
-/// Panics if `batch_size == 0`, `dataset` is empty, or `model` has no
-/// top-level ReLU.
-pub fn relu_relevance(
-    model: &Model,
-    scheme: QuantScheme,
-    dataset: &Dataset,
-    batch_size: usize,
-) -> f64 {
-    assert!(batch_size > 0, "batch size must be positive");
+/// Panics if `dataset` is empty or `model` has no top-level ReLU.
+pub fn relu_relevance(model: &Model, scheme: QuantScheme, dataset: &Dataset) -> f64 {
     assert!(!dataset.is_empty(), "dataset must not be empty");
     let mut clean = model.clone();
     QuantizedModel::quantize(model, scheme).write_to(&mut clean);
@@ -126,8 +119,8 @@ pub fn relu_relevance(
         .expect("relu_relevance needs a model with a top-level ReLU");
 
     let (mut positive, mut total) = (0usize, 0usize);
-    for start in (0..dataset.len()).step_by(batch_size) {
-        let (mut x, _) = dataset.batch_range(start, (start + batch_size).min(dataset.len()));
+    for start in (0..dataset.len()).step_by(EVAL_BATCH) {
+        let (mut x, _) = dataset.batch_range(start, (start + EVAL_BATCH).min(dataset.len()));
         for layer in clean.layers().take(depth) {
             x = layer.infer(&x, Mode::Eval);
         }
@@ -140,7 +133,7 @@ pub fn relu_relevance(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{build, ArchKind, NormKind, EVAL_BATCH};
+    use crate::{build, ArchKind, NormKind};
     use bitrobust_nn::{Linear, Sequential};
     use bitrobust_tensor::Tensor;
     use rand::SeedableRng;
@@ -197,18 +190,28 @@ mod tests {
         assert!((0.0..=1.0).contains(&r.fraction_large));
     }
 
+    /// 300 examples span two full batches and a partial one; the result
+    /// equals one pass of the same layers over the whole set.
     #[test]
     fn relu_relevance_is_independent_of_batch_size() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(5);
         let model = build(ArchKind::SimpleNet, [3, 16, 16], 10, NormKind::Group, &mut rng).model;
         let data = random_dataset(300, [3, 16, 16], &mut rng);
         let scheme = QuantScheme::rquant(8);
-        let whole = relu_relevance(&model, scheme, &data, data.len());
-        assert!(whole > 0.0 && whole < 1.0, "relevance {whole}");
-        for batch_size in [7, EVAL_BATCH] {
-            let r = relu_relevance(&model, scheme, &data, batch_size);
-            assert_eq!(r.to_bits(), whole.to_bits(), "batch_size {batch_size}");
+
+        let mut clean = model.clone();
+        QuantizedModel::quantize(&model, scheme).write_to(&mut clean);
+        let last_relu = clean.layers().enumerate().filter(|(_, l)| l.layer_type() == "Relu").last();
+        let depth = last_relu.expect("SimpleNet has a ReLU").0 + 1;
+        let mut x = data.images().clone();
+        for layer in clean.layers().take(depth) {
+            x = layer.infer(&x, Mode::Eval);
         }
+        let whole = x.data().iter().filter(|&&v| v > 0.0).count() as f64 / x.numel() as f64;
+
+        let r = relu_relevance(&model, scheme, &data);
+        assert!(r > 0.0 && r < 1.0, "relevance {r}");
+        assert_eq!(r.to_bits(), whole.to_bits());
     }
 
     #[test]
@@ -246,6 +249,6 @@ mod tests {
         }
         let expected = positive as f64 / (data.len() * 128) as f64;
         assert!(expected > 0.0 && expected < 1.0, "expected {expected}");
-        assert_eq!(relu_relevance(&model, scheme, &data, 16), expected);
+        assert_eq!(relu_relevance(&model, scheme, &data), expected);
     }
 }

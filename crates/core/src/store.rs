@@ -3,11 +3,12 @@
 //! A [`SweepStore`] is a JSONL file: one self-describing line per
 //! completed campaign cell, keyed by a 64-bit content hash of the cell's
 //! full identity (model key, quantization scheme, injection-axis key,
-//! axis point, evaluation dataset and batch size — see
-//! [`crate::sweep::run_sweep`]). The orchestrator appends each cell as
-//! soon as it completes and *skips* any cell whose key is already stored,
-//! which is what makes long sweeps resumable: a killed process loses at
-//! most the cells that had not yet been appended.
+//! axis point, evaluation dataset, the fixed evaluation batch size and
+//! the inference mode — see [`crate::sweep::run_sweep`]). The
+//! orchestrator appends each cell as soon as it completes and *skips* any
+//! cell whose key is already stored, which is what makes long sweeps
+//! resumable: a killed process loses at most the cells that had not yet
+//! been appended.
 //!
 //! # Durability and exactness
 //!

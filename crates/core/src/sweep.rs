@@ -24,7 +24,7 @@
 //!                              SweepStore (JSONL on disk)
 //!                              key = content hash of
 //!                              model key × scheme × axis × point
-//!                              × dataset × batch size
+//!                              × dataset × batch × mode
 //! ```
 //!
 //! Interrupt the process at any point — `SIGKILL` included — and rerun:
@@ -125,19 +125,18 @@ impl SweepAxis {
     }
 }
 
-/// Evaluation-protocol knobs shared by every cell of a sweep.
+/// The evaluation protocol shared by every cell of a sweep. Cells always
+/// evaluate in batches of [`EVAL_BATCH`]; only the inference mode varies
+/// (Tab. 10 evaluates BatchNorm models with batch statistics).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SweepOptions {
-    /// Test batch size (part of the cell identity: confidence partial sums
-    /// regroup at batch boundaries).
-    pub batch_size: usize,
     /// Inference mode ([`Mode::Train`] is rejected).
     pub mode: Mode,
 }
 
 impl Default for SweepOptions {
     fn default() -> Self {
-        Self { batch_size: EVAL_BATCH, mode: Mode::Eval }
+        Self { mode: Mode::Eval }
     }
 }
 
@@ -235,7 +234,9 @@ fn dataset_identity(dataset: &Dataset) -> String {
 /// axis identity (which covers its seeds and exact rates), the point
 /// index, and the evaluation dataset (content-fingerprinted) / batch
 /// protocol. Cells from unrelated sweeps can therefore share one store
-/// file without ever aliasing.
+/// file without ever aliasing. The batch size is always [`EVAL_BATCH`],
+/// but it stays in the hashed identity, so stores written by earlier
+/// versions keep their keys.
 fn cell_id(
     model_key: &str,
     scheme_key: &str,
@@ -245,8 +246,8 @@ fn cell_id(
     opts: &SweepOptions,
 ) -> u64 {
     let identity = format!(
-        "model={model_key}|scheme={scheme_key}|axis={axis_key}|point={point}|data={data_identity}|batch={}|mode={:?}",
-        opts.batch_size, opts.mode,
+        "model={model_key}|scheme={scheme_key}|axis={axis_key}|point={point}|data={data_identity}|batch={EVAL_BATCH}|mode={:?}",
+        opts.mode,
     );
     fnv1a64(identity.as_bytes())
 }
@@ -270,8 +271,7 @@ fn cell_id(
 /// Panics if `models` or `axes` is empty, an axis is empty in any
 /// dimension, two models share a key, or the store rejects an append
 /// (collision or I/O error — a sweep must never silently lose cells); plus
-/// the usual campaign conditions (empty dataset, zero batch size,
-/// training mode).
+/// the usual campaign conditions (empty dataset, training mode).
 pub fn run_sweep(
     models: &[SweepModel<'_>],
     axes: &[SweepAxis],
@@ -376,7 +376,6 @@ pub fn run_sweep(
             (cell.model, prepared[cell.axis].make_image(&q0s[cell.model], cell.point))
         };
         Campaign::multi(&templates, dataset)
-            .batch_size(opts.batch_size)
             .mode(opts.mode)
             .on_cell(|k, result| {
                 bitrobust_obs::counter_add("sweep.cells_run", 1);
@@ -496,12 +495,9 @@ mod tests {
         assert_ne!(base, cell_id("m", "q4laun", "axis", 0, &data, &opts));
         assert_ne!(base, cell_id("m", "q8laun", "axis2", 0, &data, &opts));
         assert_ne!(base, cell_id("m", "q8laun", "axis", 1, &data, &opts));
-        let mut opts2 = opts;
-        opts2.batch_size = 64;
-        assert_ne!(base, cell_id("m", "q8laun", "axis", 0, &data, &opts2));
         // Tab. 10 evaluates one model under both modes; a shared store must
         // never alias them.
-        let batch_stats = SweepOptions { mode: Mode::EvalBatchStats, ..opts };
+        let batch_stats = SweepOptions { mode: Mode::EvalBatchStats };
         assert_ne!(base, cell_id("m", "q8laun", "axis", 0, &data, &batch_stats));
     }
 

@@ -10,7 +10,7 @@ use rand::Rng;
 use rand::SeedableRng;
 
 use crate::data_parallel::{sharded_forward_backward, DataParallel};
-use crate::eval::{evaluate, quantized_error, EVAL_BATCH};
+use crate::eval::{evaluate, quantized_error};
 use crate::scheduler::ScratchReplicas;
 use crate::QuantizedModel;
 
@@ -400,7 +400,7 @@ pub fn train(
     }
     let result = match cfg.scheme {
         Some(scheme) => quantized_error(model, scheme, test_ds),
-        None => evaluate(model, test_ds, EVAL_BATCH, Mode::Eval),
+        None => evaluate(model, test_ds),
     };
     model.clear_caches();
     TrainReport {

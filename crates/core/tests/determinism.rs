@@ -150,11 +150,12 @@ fn fp_report(report: &TrainReport) -> String {
 #[test]
 fn clean_evaluate_parallel_matches_serial() {
     let (model, test) = tiny_setup();
-    // Batch sizes that divide the dataset, don't divide it, and exceed it.
-    for batch_size in [1, 7, EVAL_BATCH, 999, 1000, 4096] {
-        let parallel = evaluate(&model, &test, batch_size, Mode::Eval);
-        let serial = evaluate_serial(&model, &test, batch_size, Mode::Eval);
-        assert_eq!(parallel, serial, "batch_size {batch_size}");
+    // Sets smaller than one batch, exactly one, just over one, and many
+    // batches with a partial last one.
+    for n in [1, 7, EVAL_BATCH - 1, EVAL_BATCH, EVAL_BATCH + 1, 1000] {
+        let (x, y) = test.batch_range(0, n);
+        let subset = Dataset::new("test-prefix", x, y, test.n_classes());
+        assert_eq!(evaluate(&model, &subset), evaluate_serial(&model, &subset), "{n} examples");
     }
 }
 
@@ -301,13 +302,9 @@ fn worker_fingerprints() {
     let (model, test) = tiny_setup();
 
     // (a) clean evaluate.
-    let mut clean = String::new();
-    for batch_size in [7, EVAL_BATCH, 1000] {
-        let parallel = evaluate(&model, &test, batch_size, Mode::Eval);
-        assert_eq!(parallel, evaluate_serial(&model, &test, batch_size, Mode::Eval));
-        fp_result(&mut clean, &parallel);
-    }
-    println!("FP clean_evaluate {clean}");
+    let clean = evaluate(&model, &test);
+    assert_eq!(clean, evaluate_serial(&model, &test));
+    println!("FP clean_evaluate {}", fp_results(&[clean]));
 
     // (b)+(c) campaign: serial reference vs the eager one-wave run and
     // streaming delivery.

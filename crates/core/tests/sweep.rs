@@ -9,9 +9,7 @@ use std::path::PathBuf;
 use bitrobust_biterror::{ChipKind, ProfiledAxis};
 use bitrobust_core::{
     run_sweep, Campaign, ChipAxis, QuantizedModel, SweepAxis, SweepModel, SweepOptions, SweepStore,
-    EVAL_BATCH,
 };
-use bitrobust_nn::Mode;
 use bitrobust_quant::QuantScheme;
 
 mod common;
@@ -75,7 +73,7 @@ fn profiled_sweep_matches_manual_tab5_loop_bit_for_bit() {
             images.push(q);
         }
     }
-    let legacy = Campaign::new(&a, &test).batch_size(EVAL_BATCH).mode(Mode::Eval).run(&images);
+    let legacy = Campaign::new(&a, &test).run(&images);
     assert_eq!(results.cells(), &legacy[..], "sweep cells must equal the legacy tab5 loop");
 }
 

@@ -8,7 +8,7 @@
 //! the clean quantized weights.
 
 use bitrobust_core::{
-    redundancy_metrics, relu_relevance, robust_eval, RandBetVariant, TrainMethod, EVAL_BATCH,
+    redundancy_metrics, relu_relevance, robust_eval, RandBetVariant, TrainMethod,
 };
 use bitrobust_experiments::{
     dataset_pair, pct, protocol_axis, zoo_model, DatasetKind, ExpOptions, Table, CHIP_SEED,
@@ -49,7 +49,7 @@ fn main() {
         let robust =
             robust_eval(&model, scheme, &test_ds, protocol_axis(&[p], opts.chips)).remove(0);
         let red = redundancy_metrics(&model, scheme, p, opts.chips.min(5), CHIP_SEED);
-        let relu = relu_relevance(&model, scheme, &test_ds, EVAL_BATCH);
+        let relu = relu_relevance(&model, scheme, &test_ds);
 
         table.row_owned(vec![
             name.into(),

@@ -2,9 +2,9 @@
 //! `L∞` weight noise (which, unlike bit errors, perturbs *every* weight).
 
 use bitrobust_biterror::hash_unit;
-use bitrobust_core::{evaluate, TrainMethod, EVAL_BATCH};
+use bitrobust_core::{evaluate, TrainMethod};
 use bitrobust_experiments::{dataset_pair, pct, zoo_model, DatasetKind, ExpOptions, Table};
-use bitrobust_nn::{Mode, Model};
+use bitrobust_nn::Model;
 use bitrobust_quant::QuantScheme;
 
 fn main() {
@@ -63,7 +63,7 @@ fn linf_error(model: &mut Model, test_ds: &bitrobust_data::Dataset, mag: f32, dr
         });
         tensor_idx += 1;
     });
-    let result = evaluate(model, test_ds, EVAL_BATCH, Mode::Eval);
+    let result = evaluate(model, test_ds);
     model.set_param_tensors(&snapshot);
     result.error
 }

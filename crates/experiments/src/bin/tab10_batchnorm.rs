@@ -65,7 +65,7 @@ fn main() {
         // sweep sets it instead of going through `robust_eval`.
         let models = [SweepModel::new(name.as_str(), scheme, model)];
         let axes = [SweepAxis::new("protocol", protocol_axis(&ps, opts.chips))];
-        let sweep_opts = SweepOptions { mode, ..Default::default() };
+        let sweep_opts = SweepOptions { mode };
         let r = run_sweep(&models, &axes, &test_ds, &sweep_opts, None, |_, _| {}).robust(0, 0);
         table.row_owned(vec![
             name,

@@ -84,12 +84,15 @@ impl std::fmt::Display for SubmitError {
 
 impl std::error::Error for SubmitError {}
 
-/// Cumulative counters plus live gauges. `completed + shed == submitted`
-/// once the service has shut down: every admitted request is served,
-/// every rejected one is counted — none vanish. The gauges
-/// (`queue_depth`, `in_flight`, `versions`) are instantaneous reads — by
-/// the time the caller looks, the live service may have moved on; after
-/// shutdown they are final (`queue_depth == 0`, `in_flight == 0`).
+/// Cumulative counters plus live gauges. After a normal shutdown
+/// `completed + shed == submitted`: every admitted request is served,
+/// every rejected one is counted — none vanish. After the engine thread
+/// dies that identity does not hold: the requests of its last wave and
+/// the ones it abandoned in the queue are in neither count (there is no
+/// `failed` count yet). The gauges (`queue_depth`, `in_flight`,
+/// `versions`) are instantaneous reads — by the time the caller looks,
+/// the live service may have moved on; after a normal shutdown they are
+/// final (`queue_depth == 0`, `in_flight == 0`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServeStats {
     /// Requests that passed model resolution (admitted + shed).
@@ -225,11 +228,6 @@ impl InferenceService {
         }
     }
 
-    /// [`submit`](InferenceService::submit) and wait for the response.
-    pub fn infer_blocking(&self, key: &str, image: Tensor) -> Result<ServeResponse, SubmitError> {
-        self.submit(key, image).map(Ticket::wait)
-    }
-
     /// Current counters and live gauges; see [`ServeStats`].
     pub fn stats(&self) -> ServeStats {
         ServeStats {
@@ -244,22 +242,29 @@ impl InferenceService {
 
     /// Stops admission, serves every still-queued request, joins the
     /// engine, and returns the final counters.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the engine thread died (see [`Ticket::wait`]).
     pub fn shutdown(mut self) -> ServeStats {
-        self.stop();
+        self.stop().expect("serve engine thread panicked");
         self.stats()
     }
 
-    fn stop(&mut self) {
+    /// Closes the queue and joins the engine, returning its exit (`Err`
+    /// if it panicked). Later calls return `Ok`.
+    fn stop(&mut self) -> std::thread::Result<()> {
         self.queue.close();
-        if let Some(engine) = self.engine.take() {
-            engine.join().expect("serve engine thread panicked");
-        }
+        self.engine.take().map_or(Ok(()), std::thread::JoinHandle::join)
     }
 }
 
+/// Stops the service like [`shutdown`](InferenceService::shutdown) but
+/// ignores a dead engine: a panic here, while another panic unwinds, would
+/// abort the process.
 impl Drop for InferenceService {
     fn drop(&mut self) {
-        self.stop();
+        let _ = self.stop();
     }
 }
 

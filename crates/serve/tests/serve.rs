@@ -64,7 +64,7 @@ fn concurrent_clients_match_serial_reference() {
                     let mut got = Vec::new();
                     for i in (client..images.len()).step_by(3) {
                         let response =
-                            service.infer_blocking("mlp", images[i].clone()).expect("submit");
+                            service.submit("mlp", images[i].clone()).expect("submit").wait();
                         got.push((i, response));
                     }
                     got
@@ -134,7 +134,7 @@ fn hot_swap_mid_traffic_serves_both_versions_consistently() {
 
     // Phase 1: pre-swap traffic must all be v1.
     for image in &images[..4] {
-        let response = service.infer_blocking("m", image.clone()).expect("submit");
+        let response = service.submit("m", image.clone()).expect("submit").wait();
         assert_eq!(response.model_version, 1);
         assert_response_bits(&response, &reference_response(&v1, image));
     }
@@ -150,7 +150,7 @@ fn hot_swap_mid_traffic_serves_both_versions_consistently() {
                     (client..images.len())
                         .step_by(2)
                         .map(|i| {
-                            (i, service.infer_blocking("m", images[i].clone()).expect("submit"))
+                            (i, service.submit("m", images[i].clone()).expect("submit").wait())
                         })
                         .collect::<Vec<_>>()
                 })
@@ -173,7 +173,7 @@ fn hot_swap_mid_traffic_serves_both_versions_consistently() {
     // differ from v1 somewhere, or the swap test is vacuous.
     let mut any_differs = false;
     for image in &images[..4] {
-        let response = service.infer_blocking("m", image.clone()).expect("submit");
+        let response = service.submit("m", image.clone()).expect("submit").wait();
         assert_eq!(response.model_version, 2);
         let expected = reference_response(&v2, image);
         assert_response_bits(&response, &expected);
@@ -291,4 +291,16 @@ fn dead_engine_stops_admitting_work() {
         catch_unwind(AssertUnwindSafe(|| service.shutdown())).is_err(),
         "shutdown must report the engine's death"
     );
+}
+
+/// Dropping a service whose engine died must not panic: a drop that runs
+/// while another panic unwinds would abort the process.
+#[test]
+fn dropping_a_dead_service_does_not_panic() {
+    let registry = Arc::new(ModelRegistry::new());
+    registry.publish("mlp", tiny_model(0));
+    let service = InferenceService::start(registry, ServeConfig::default());
+    let bad = service.submit("mlp", Tensor::zeros(&[1, 1, 10, 10])).expect("admitted");
+    assert!(catch_unwind(AssertUnwindSafe(|| bad.wait())).is_err(), "the engine must die");
+    assert!(catch_unwind(AssertUnwindSafe(|| drop(service))).is_ok(), "drop must not panic");
 }

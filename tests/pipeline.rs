@@ -4,10 +4,10 @@
 use bitrobust_biterror::UniformChip;
 use bitrobust_core::{
     build, evaluate, quantized_error, robust_eval, train, ArchKind, ChipAxis, NormKind,
-    QuantizedModel, TrainConfig, TrainMethod, EVAL_BATCH,
+    QuantizedModel, TrainConfig, TrainMethod,
 };
 use bitrobust_data::{AugmentConfig, Dataset, SynthDataset};
-use bitrobust_nn::{Mode, Model};
+use bitrobust_nn::Model;
 use bitrobust_quant::QuantScheme;
 use rand::SeedableRng;
 
@@ -54,7 +54,7 @@ fn rerr_grows_with_bit_error_rate() {
 #[test]
 fn quantization_loses_little_accuracy_at_8_bit() {
     let (model, test_ds) = trained_mnist_model();
-    let float_err = evaluate(&model, &test_ds, EVAL_BATCH, Mode::Eval).error;
+    let float_err = evaluate(&model, &test_ds).error;
     let q8 = quantized_error(&model, QuantScheme::rquant(8), &test_ds).error;
     assert!(
         (q8 - float_err).abs() < 0.02,
