@@ -14,6 +14,11 @@
 //! the packed kernel loses its edge (graded floors, relaxed on 1-thread
 //! runners).
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "a benchmark: it times kernels and grades its floors by thread count"
+)]
+
 use std::time::Instant;
 
 use bitrobust_bench::{best_of, json_str, object, write_bench_json};

@@ -10,6 +10,10 @@
 //! `e2e_bench` package.
 
 #![forbid(unsafe_code)]
+#![expect(
+    clippy::disallowed_methods,
+    reason = "a benchmark timer: wall-clock time is what it measures"
+)]
 
 use std::path::PathBuf;
 use std::time::Instant;

@@ -211,7 +211,7 @@ pub struct Campaign<'a> {
     dataset: &'a Dataset,
     mode: Mode,
     serial: bool,
-    #[allow(clippy::type_complexity)]
+    #[expect(clippy::type_complexity, reason = "spelled once, at its only field")]
     on_cell: Option<Box<dyn FnMut(usize, &EvalResult) + 'a>>,
 }
 

@@ -507,6 +507,10 @@ mod tests {
     /// over 8 shards parks at most one replica per pool thread, never one
     /// per shard.
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the replica bound under test is the pool's thread count"
+    )]
     fn replicas_are_bounded_by_concurrent_shards() {
         let (model, x, labels) = setup(32);
         let pool = ScratchReplicas::new();

@@ -1,5 +1,18 @@
 //! Whole-model quantization with a linear weight-to-memory mapping.
 
+// The float <-> integer quantization boundary: every numeric conversion
+// must be exact or checked, so `as` casts that can lose value are flagged.
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::cast_lossless,
+        clippy::cast_possible_truncation,
+        clippy::cast_possible_wrap,
+        clippy::cast_sign_loss,
+        clippy::cast_precision_loss
+    )
+)]
+
 use bitrobust_biterror::ErrorInjector;
 use bitrobust_nn::Model;
 use bitrobust_quant::{Granularity, QuantRange, QuantScheme, QuantizedTensor};

@@ -54,7 +54,6 @@
 use std::sync::{Mutex, OnceLock};
 
 use bitrobust_nn::Model;
-// analyze:allow(det-thread-count, imported for work distribution only; every sizing below is byte-safe)
 use bitrobust_tensor::{parallel_for, pool_parallelism};
 
 /// Upper bound on cells per streaming or lazy campaign wave, so a wave's
@@ -68,9 +67,12 @@ const ADAPTIVE_OVERSUBSCRIPTION: usize = 4;
 /// Number of consecutive slots of one track each work item covers (see
 /// the module docs). Always within `1..=n_slots`, so a single-slot track is
 /// one item.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "sizes work items only; partials and their serial reduction are thread-count independent"
+)]
 fn slots_per_item(n_tracks: usize, n_slots: usize) -> usize {
     let total = n_tracks * n_slots;
-    // analyze:allow(det-thread-count, sizes work items only; partials and their serial reduction are thread-count independent)
     let target = (pool_parallelism() * ADAPTIVE_OVERSUBSCRIPTION).max(1);
     (total / target).clamp(1, n_slots.max(1))
 }
@@ -79,8 +81,11 @@ fn slots_per_item(n_tracks: usize, n_slots: usize) -> usize {
 /// progress delivery, large enough (≥ two work items per hardware thread)
 /// to keep every core busy, and at most 64. `n_slots` is the number of
 /// slots each track contributes (e.g. test batches per pattern).
+#[expect(
+    clippy::disallowed_methods,
+    reason = "wave size batches delivery; per-slot results are computed and reduced identically at any size"
+)]
 pub fn wave_size(n_slots: usize) -> usize {
-    // analyze:allow(det-thread-count, wave size batches delivery; per-slot results are computed and reduced identically at any size)
     (2 * pool_parallelism()).div_ceil(n_slots.max(1)).clamp(1, MAX_WAVE)
 }
 

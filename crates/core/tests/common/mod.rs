@@ -1,5 +1,10 @@
 //! Helpers shared between the core integration-test suites.
 
+#![allow(
+    dead_code,
+    reason = "compiled into every test binary that declares it, and not all of them use every helper"
+)]
+
 use bitrobust_biterror::{ChipKind, ProfiledAxis};
 use bitrobust_core::{
     build, run_sweep, train, ArchKind, ChipAxis, DataParallel, NormKind, RandBetVariant, SweepAxis,
@@ -16,13 +21,11 @@ use rand::SeedableRng;
 /// Used by both the determinism thread matrix and the golden pinning
 /// tests — the committed `GOLDEN_DP_WEIGHTS_HASH` is a value of this
 /// function, so any change here invalidates that constant.
-#[allow(dead_code)] // not every test binary including `common` fingerprints weights
 pub fn weights_fingerprint(model: &Model) -> u64 {
     tensors_fingerprint(&model.param_tensors())
 }
 
 /// FNV-1a over the bits of `tensors`, in order.
-#[allow(dead_code)]
 pub fn tensors_fingerprint(tensors: &[Tensor]) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
     for t in tensors {
@@ -42,7 +45,6 @@ pub fn tensors_fingerprint(tensors: &[Tensor]) -> u64 {
 
 /// A seed-0 SimpleNet-GN for 16x16 RGB, 16 synth-CIFAR10 training and 64
 /// test examples.
-#[allow(dead_code)]
 pub fn simplenet_fixture() -> (Model, Dataset, Dataset) {
     let mut rng = rand::rngs::StdRng::seed_from_u64(0);
     let model = build(ArchKind::SimpleNet, [3, 16, 16], 10, NormKind::Group, &mut rng).model;
@@ -57,7 +59,6 @@ pub fn simplenet_fixture() -> (Model, Dataset, Dataset) {
 /// One Alg. 1 step on the fixture: the whole training split is one
 /// mini-batch, with bit errors injected from step 0. Afterwards `model`
 /// holds the step's summed (clean + perturbed) reduced gradient.
-#[allow(dead_code)]
 pub fn simplenet_randbet_step(
     model: &mut Model,
     train_ds: &Dataset,
@@ -79,11 +80,9 @@ pub fn simplenet_randbet_step(
 // The canonical sweep fixture — ONE plan shared by the determinism thread
 // matrix and the kill-and-resume suite, so a protocol tweak can never
 // desynchronize the two. Two seed-0 MLPs × (Chip1 profiled axis + uniform
-// axis) = 16 cells. `#[allow(dead_code)]`: `common` is compiled into every
-// test binary that declares it, and not all of them use these fixtures.
+// axis) = 16 cells.
 
 /// The fixture's models and evaluation dataset.
-#[allow(dead_code)]
 pub fn sweep_fixture_models() -> (Model, Model, Dataset) {
     let mut rng = rand::rngs::StdRng::seed_from_u64(0);
     let a = build(ArchKind::Mlp, [1, 14, 14], 10, NormKind::Group, &mut rng).model;
@@ -93,7 +92,6 @@ pub fn sweep_fixture_models() -> (Model, Model, Dataset) {
 }
 
 /// The fixture's axes: a profiled voltage/offset axis plus a uniform axis.
-#[allow(dead_code)]
 pub fn sweep_fixture_axes() -> Vec<SweepAxis> {
     vec![
         SweepAxis::new(
@@ -105,12 +103,10 @@ pub fn sweep_fixture_axes() -> Vec<SweepAxis> {
 }
 
 /// Total cells of the fixture plan.
-#[allow(dead_code)]
 pub const SWEEP_FIXTURE_CELLS: usize = 16;
 
 /// Runs the fixture plan. `on_evaluated(n)` fires after the `n`-th freshly
 /// evaluated (non-resumed) cell — the kill worker uses it to die mid-run.
-#[allow(dead_code)]
 pub fn run_sweep_fixture(
     models: (&Model, &Model),
     test: &Dataset,

@@ -424,6 +424,10 @@ const REGENERATE: &str = "BITROBUST_THREADS=1 cargo test -p bitrobust-core --tes
      > crates/core/tests/determinism_fingerprints.txt";
 
 #[test]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the matrix runs at the machine's maximum thread count, among others"
+)]
 fn thread_matrix_results_identical_at_1_2_and_max_threads() {
     let exe = std::env::current_exe().expect("test binary path");
     let max = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);

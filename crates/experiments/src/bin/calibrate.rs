@@ -2,6 +2,11 @@
 //! baseline robustness for each synthetic dataset. Useful for sizing epoch
 //! budgets before running the full experiment suite.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "reports training wall-clock time; the timing feeds no result"
+)]
+
 use std::time::Instant;
 
 use bitrobust_core::{robust_eval, ArchKind, NormKind, TrainMethod};

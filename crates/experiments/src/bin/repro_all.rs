@@ -5,6 +5,11 @@
 //! cargo run --release -p bitrobust-experiments --bin repro_all [-- --quick]
 //! ```
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "reports each experiment's wall-clock time; the timing feeds no result"
+)]
+
 use std::fs;
 use std::path::PathBuf;
 use std::process::Command;

@@ -319,6 +319,10 @@ fn inner_parallel_warmup(n_unique: usize, parallelism: usize) -> bool {
 ///
 /// This is the cache-warmup path for experiment binaries that need many
 /// models: warm the zoo once, then reload per model in milliseconds.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the thread count picks where training runs, not what it computes: a model trains identically on either path"
+)]
 pub fn warm_zoo(specs: &[ZooSpec], no_cache: bool) -> Vec<(Model, TrainReport)> {
     // Dedupe by cache key; remember which unique entry serves each spec.
     let mut unique: Vec<&ZooSpec> = Vec::new();

@@ -15,6 +15,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+#[cfg(test)]
+mod rules;
+
 pub use bitrobust_biterror as biterror;
 pub use bitrobust_core as core;
 pub use bitrobust_data as data;

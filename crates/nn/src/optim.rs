@@ -54,7 +54,7 @@ impl Sgd {
             }
             let buf = &mut buffers[index];
             let (value, grad) = param.value_and_grad_mut();
-            debug_assert_eq!(buf.shape(), value.shape(), "momentum buffer shape drift");
+            assert_eq!(buf.shape(), value.shape(), "momentum buffer shape drift");
             let b = buf.data_mut();
             let v = value.data_mut();
             let g = grad.data();

@@ -25,8 +25,8 @@
 //! `BITROBUST_OBS_REPORT` / `BITROBUST_OBS_TRACE` override the output
 //! paths (defaults: `OBS_report.json`, `OBS_trace.json` in the working
 //! directory). Programs may instead call [`init`] explicitly — the
-//! `experiments` binaries and `serve_load` map an `--obs <spec>` flag
-//! onto [`ObsConfig::parse`].
+//! `experiments` binaries map an `--obs <spec>` flag onto
+//! [`ObsConfig::parse`].
 //!
 //! ## Bit-neutrality contract
 //!
@@ -45,6 +45,10 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the wall-clock authority: spans read clocks but never feed results (see Bit-neutrality)"
+)]
 
 mod hist;
 mod snapshot;

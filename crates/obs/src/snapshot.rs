@@ -66,9 +66,9 @@ impl Snapshot {
         self.hists.get(name)
     }
 
-    /// Render the report document. Hand-rolled JSON in the same style as
-    /// `bitrobust-analyze` (the vendored `serde` is a marker stub); all
-    /// maps are `BTreeMap`s so the output is canonically ordered.
+    /// Render the report document. Hand-rolled JSON (the vendored
+    /// `serde` is a marker stub); all maps are `BTreeMap`s so the output
+    /// is canonically ordered.
     pub fn render_json(&self) -> String {
         let mut s = String::from("{\n");
         s.push_str("  \"version\": 1,\n");

@@ -38,6 +38,18 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// The float <-> integer quantization boundary: every numeric conversion
+// must be exact or checked, so `as` casts that can lose value are flagged.
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::cast_lossless,
+        clippy::cast_possible_truncation,
+        clippy::cast_possible_wrap,
+        clippy::cast_sign_loss,
+        clippy::cast_precision_loss
+    )
+)]
 
 mod quantized;
 mod scheme;

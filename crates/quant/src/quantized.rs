@@ -73,10 +73,7 @@ pub struct QuantizedTensor {
 
 impl QuantizedTensor {
     pub(crate) fn from_parts(words: Vec<u8>, range: QuantRange, scheme: QuantScheme) -> Self {
-        debug_assert!(
-            words.iter().all(|&w| w & !scheme.live_mask() == 0),
-            "dead bits must be zero"
-        );
+        assert!(words.iter().all(|&w| w & !scheme.live_mask() == 0), "dead bits must be zero");
         Self { words, range, scheme }
     }
 

@@ -269,6 +269,12 @@ impl QuantScheme {
     /// Panics if any weight is non-finite: `f32::max`/`f32::min` range folds
     /// drop NaN and `as i32` saturates NaN to 0, so without this check a NaN
     /// weight would silently quantize to code 0.
+    #[expect(
+        clippy::cast_precision_loss,
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "the codec: it rejects non-finite input up front, clamps to [-L, L] and masks to the live bits"
+    )]
     pub fn quantize_with_range(&self, weights: &[f32], range: QuantRange) -> QuantizedTensor {
         let level = self.max_level();
         let mask = self.live_mask();
@@ -300,6 +306,11 @@ impl QuantScheme {
     /// low `m` bits, unsigned words subtract the [`QuantScheme::max_level`]
     /// offset. Clean levels lie in `[-L, L]`; bit errors can push the result
     /// to `-2^(m-1)` (signed) or `L + 1` (unsigned).
+    #[expect(
+        clippy::cast_lossless,
+        clippy::cast_possible_wrap,
+        reason = "pure bit manipulation: the u8 -> i8 -> i32 sign extension defines the word -> level map"
+    )]
     pub fn decode_level(&self, word: u8) -> i32 {
         let level = self.max_level();
         let mask = self.live_mask();
@@ -318,6 +329,7 @@ impl QuantScheme {
     }
 
     /// Dequantizes a single stored word.
+    #[expect(clippy::cast_precision_loss, reason = "levels are |q| <= 128, exact in f32")]
     pub fn dequantize_word(&self, word: u8, range: QuantRange) -> f32 {
         let level = self.max_level();
         let q = self.decode_level(word);

@@ -72,38 +72,6 @@ impl ModelRegistry {
     pub fn get(&self, key: &str) -> Option<Arc<ServedModel>> {
         self.models.read().expect("registry lock poisoned").get(key).cloned()
     }
-
-    /// Number of published keys.
-    pub fn len(&self) -> usize {
-        self.models.read().expect("registry lock poisoned").len()
-    }
-
-    /// Whether no model has been published.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// All published keys, sorted (for stable listings).
-    pub fn keys(&self) -> Vec<String> {
-        let mut keys: Vec<String> =
-            self.models.read().expect("registry lock poisoned").keys().cloned().collect();
-        keys.sort();
-        keys
-    }
-
-    /// `(key, current version)` for every published model, sorted by key
-    /// — the live registry gauge reported by `InferenceService::stats`.
-    pub fn versions(&self) -> Vec<(String, u64)> {
-        let mut versions: Vec<(String, u64)> = self
-            .models
-            .read()
-            .expect("registry lock poisoned")
-            .values()
-            .map(|m| (m.key.clone(), m.version))
-            .collect();
-        versions.sort();
-        versions
-    }
 }
 
 #[cfg(test)]
@@ -118,17 +86,16 @@ mod tests {
     #[test]
     fn publish_bumps_version_per_key() {
         let registry = ModelRegistry::new();
-        assert!(registry.is_empty());
+        assert!(registry.get("a").is_none());
         assert_eq!(registry.publish("a", empty_model("a1")), 1);
         assert_eq!(registry.publish("b", empty_model("b1")), 1);
         assert_eq!(registry.publish("a", empty_model("a2")), 2);
-        assert_eq!(registry.len(), 2);
-        assert_eq!(registry.keys(), vec!["a".to_string(), "b".to_string()]);
-        assert_eq!(registry.versions(), vec![("a".to_string(), 2), ("b".to_string(), 1)]);
 
         let a = registry.get("a").expect("a is published");
         assert_eq!((a.key(), a.version()), ("a", 2));
         assert_eq!(a.model().name(), "a2");
+        let b = registry.get("b").expect("b is published");
+        assert_eq!((b.key(), b.version()), ("b", 1));
         assert!(registry.get("missing").is_none());
     }
 

@@ -89,10 +89,10 @@ impl std::error::Error for SubmitError {}
 /// every rejected one is counted — none vanish. After the engine thread
 /// dies that identity does not hold: the requests of its last wave and
 /// the ones it abandoned in the queue are in neither count (there is no
-/// `failed` count yet). The gauges (`queue_depth`, `in_flight`,
-/// `versions`) are instantaneous reads — by the time the caller looks,
-/// the live service may have moved on; after a normal shutdown they are
-/// final (`queue_depth == 0`, `in_flight == 0`).
+/// `failed` count yet). The gauges (`queue_depth`, `in_flight`) are
+/// instantaneous reads — by the time the caller looks, the live service
+/// may have moved on; after a normal shutdown they are final
+/// (`queue_depth == 0`, `in_flight == 0`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServeStats {
     /// Requests that passed model resolution (admitted + shed).
@@ -106,8 +106,6 @@ pub struct ServeStats {
     /// Requests drained into the engine's current wave and not yet
     /// responded to.
     pub in_flight: u64,
-    /// `(key, version)` per published model, sorted by key.
-    pub versions: Vec<(String, u64)>,
 }
 
 /// A pending response; redeem with [`Ticket::wait`].
@@ -190,12 +188,6 @@ impl InferenceService {
         }
     }
 
-    /// The registry this service resolves models from. Publishing to it
-    /// while the service runs is the hot-swap path.
-    pub fn registry(&self) -> &Arc<ModelRegistry> {
-        &self.registry
-    }
-
     /// Submits one single-sample image (`[1, ...]`) for classification by
     /// the current version of `key`'s model. Returns a [`Ticket`] for the
     /// response, or the rejection ([`SubmitError`]).
@@ -236,7 +228,6 @@ impl InferenceService {
             shed: self.queue.shed_count(),
             queue_depth: self.queue.len() as u64,
             in_flight: self.in_flight.load(Ordering::Relaxed),
-            versions: self.registry.versions(),
         }
     }
 

@@ -260,7 +260,7 @@ impl ConvGeometry {
         (c, ky, kx): (usize, usize, usize),
         pos0: usize,
     ) {
-        debug_assert_eq!(self.padding, 0, "gather from the padded sample");
+        assert_eq!(self.padding, 0, "gather from the padded sample");
         let s = self.stride;
         let base = (c * self.h + ky) * self.w + kx;
         let (mut oy, mut ox0) = (pos0 / self.ow, pos0 % self.ow);
@@ -665,13 +665,13 @@ fn microkernel_portable(
 ///
 /// # Safety
 ///
-/// `#[target_feature]` makes this fn unsafe to call: the caller must prove
-/// the CPU supports AVX first. The only call site gates on
-/// [`avx_available`] (`is_x86_feature_detected!("avx")`); executing it on a
-/// non-AVX CPU would be an illegal-instruction fault, not a wrong answer.
+/// The caller must prove the CPU supports AVX first. The only call site
+/// gates on [`avx_available`] (`is_x86_feature_detected!("avx")`);
+/// executing it on a non-AVX CPU would be an illegal-instruction fault, not
+/// a wrong answer.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx")]
-fn microkernel_avx(
+unsafe fn microkernel_avx(
     c: &mut [f32],
     ldc: usize,
     a_panel: &[f32],

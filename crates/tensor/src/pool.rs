@@ -228,6 +228,10 @@ impl ThreadPool {
     }
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the pool is the one authority on machine parallelism; callers size work from shard counts"
+)]
 fn global_pool() -> &'static ThreadPool {
     static POOL: OnceLock<ThreadPool> = OnceLock::new();
     POOL.get_or_init(|| {

@@ -8,6 +8,11 @@
 //! [`DEADLINE`]. A pool that hangs on a panic therefore fails the suite
 //! instead of hanging it.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "a deadline needs a wall clock, and the cases are chosen by the pool's thread count"
+)]
+
 use std::panic::{self, AssertUnwindSafe};
 use std::process::{Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};

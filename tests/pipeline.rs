@@ -100,7 +100,7 @@ fn different_chips_give_different_rerr_samples() {
     let axis = ChipAxis::uniform(vec![0.1], 8, 999);
     let r = robust_eval(&model, QuantScheme::rquant(8), &test_ds, axis).remove(0);
     assert_eq!(r.errors.len(), 8);
-    let distinct: std::collections::HashSet<u32> = r.errors.iter().map(|e| e.to_bits()).collect();
+    let distinct: std::collections::BTreeSet<u32> = r.errors.iter().map(|e| e.to_bits()).collect();
     assert!(distinct.len() > 1, "chips must produce varied errors");
     assert!(r.std_error > 0.0);
 }

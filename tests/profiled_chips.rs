@@ -76,7 +76,7 @@ fn offsets_simulate_different_mappings() {
     };
     let r = robust_eval(&model, scheme, &test_ds, ChipAxis::Profiled(axis)).remove(0);
     assert_eq!(r.errors.len(), 4);
-    let distinct: std::collections::HashSet<u32> = r.errors.iter().map(|e| e.to_bits()).collect();
+    let distinct: std::collections::BTreeSet<u32> = r.errors.iter().map(|e| e.to_bits()).collect();
     assert!(distinct.len() > 1, "different mappings must hit different weights");
 }
 
