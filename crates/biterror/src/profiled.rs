@@ -169,8 +169,7 @@ impl ProfiledChip {
     /// producing an [`ErrorInjector`].
     ///
     /// `map_offset` is a bit-cell offset applied before the linear mapping;
-    /// `persistent_only` restricts injection to persistent faults (used for
-    /// the PattBET-on-profiled-errors experiments, Tab. 16).
+    /// `persistent_only` restricts injection to persistent faults.
     pub fn at_voltage(
         &self,
         v: f64,

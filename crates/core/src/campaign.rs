@@ -62,10 +62,10 @@
 //! The same engine also serves **clean evaluation**: a single-pattern
 //! campaign whose one "replica" is the caller's model itself
 //! (`N patterns = 1`, batches fan out), which is what
-//! [`crate::evaluate`] runs on. And for long sweeps, [`Campaign::on_cell`]
-//! processes patterns in small waves and hands each cell's result to the
-//! callback, in cell order, as soon as its wave completes — progress
-//! reporting without giving up byte-identical results.
+//! [`crate::evaluate`] runs on. Patterns run in small waves, and
+//! [`Campaign::on_cell`] hands each cell's result to the callback, in cell
+//! order, as soon as its wave completes — progress reporting without
+//! giving up byte-identical results.
 //!
 //! # Replicas
 //!
@@ -77,14 +77,13 @@
 //! over the parameters, evaluates its batches through [`Model::infer`]
 //! (which takes `&self` and touches no activation caches), and parks the
 //! replica again. Live `f32` replicas are bounded by the pool parallelism
-//! instead of the pattern count, so eager campaigns run as **one wave of
-//! all cells**.
+//! instead of the pattern count.
 //!
 //! A reused replica is **byte-identical** to a fresh clone: the image
 //! write overwrites every parameter tensor and evaluation reads nothing
-//! else. The lazy entry point builds the perturbed *quantized images* one
-//! wave at a time, so peak memory stays at one wave of images for
-//! model-zoo-sized grids.
+//! else. Every run builds its cells' *quantized images* one wave at a
+//! time, so peak memory stays at one wave of images for model-zoo-sized
+//! grids.
 //!
 //! # Determinism guarantee
 //!
@@ -96,7 +95,7 @@
 //! loop in the last ULP because f64 partial sums regroup at batch
 //! boundaries). This holds because:
 //!
-//! * `infer` produces bit-identical outputs to an eval-mode `forward`;
+//! * an eval-mode `forward` is `infer`, by construction;
 //! * every batch's partial statistics are computed independently and
 //!   written to that item's dedicated slot (no shared accumulators);
 //! * partials are reduced serially in `(pattern, batch)` order.
@@ -179,22 +178,6 @@ fn build_replica(template: &Model, image: &QuantizedModel) -> Model {
     replica
 }
 
-/// A quantized image a campaign cell evaluates: borrowed from the caller
-/// (eager runs never deep-copy) or built lazily for the current wave.
-enum CellImage<'i> {
-    Borrowed(&'i QuantizedModel),
-    Owned(QuantizedModel),
-}
-
-impl CellImage<'_> {
-    fn image(&self) -> &QuantizedModel {
-        match self {
-            CellImage::Borrowed(q) => q,
-            CellImage::Owned(q) => q,
-        }
-    }
-}
-
 /// Builder-style configuration of one fault-injection campaign: the
 /// single public entry point to the engine.
 ///
@@ -204,7 +187,7 @@ impl CellImage<'_> {
 /// [`Campaign::run_cells`]. See the
 /// [module docs](self) for the configuration defaults.
 ///
-/// All run paths — eager, lazy, streaming, serial — return byte-identical
+/// All run paths — parallel, streaming, serial — return byte-identical
 /// results for the same cells.
 pub struct Campaign<'a> {
     templates: Vec<&'a Model>,
@@ -262,19 +245,19 @@ impl<'a> Campaign<'a> {
     }
 
     /// Evaluates every pre-built quantized image over the dataset,
-    /// returning one [`EvalResult`] per image, in order. Images are
-    /// borrowed — no per-wave deep copies.
+    /// returning one [`EvalResult`] per image, in order: the cells of
+    /// [`Campaign::run_cells`] are clones of `images`, against template 0.
     ///
     /// # Panics
     ///
     /// Panics if the dataset is empty or the mode is [`Mode::Train`], or
     /// if an image's shapes do not match its template.
     pub fn run(self, images: &[QuantizedModel]) -> Vec<EvalResult> {
-        self.drive(images.len(), |i| (0, CellImage::Borrowed(&images[i])), true)
+        self.run_cells(images.len(), |i| (0, images[i].clone()))
     }
 
-    /// Like [`Campaign::run`], but builds the quantized images **lazily**,
-    /// one wave of cells at a time: `make_cell(i)` is called for
+    /// Evaluates `n_cells` cells whose quantized images are built
+    /// **lazily**, one wave of cells at a time: `make_cell(i)` is called for
     /// `i in 0..n_cells` as each wave starts, so at most one wave of images
     /// (plus the scratch replicas, bounded by the pool parallelism) is
     /// alive at a time. Use this for large grids where materializing every
@@ -293,6 +276,10 @@ impl<'a> Campaign<'a> {
     /// resumed sweep skip already-stored cells without perturbing the
     /// rest).
     ///
+    /// Waves of cells run through a scratch replica pool and the shared
+    /// scheduler, or one cell at a time on the calling thread with
+    /// [`Campaign::serial`].
+    ///
     /// # Panics
     ///
     /// Panics if a cell's template index is out of range, or on the
@@ -301,24 +288,6 @@ impl<'a> Campaign<'a> {
         self,
         n_cells: usize,
         make_cell: impl Fn(usize) -> (usize, QuantizedModel),
-    ) -> Vec<EvalResult> {
-        self.drive(
-            n_cells,
-            |i| {
-                let (template, image) = make_cell(i);
-                (template, CellImage::Owned(image))
-            },
-            false,
-        )
-    }
-
-    /// The one driver behind every run path: waves of cells through a
-    /// scratch replica pool and the shared scheduler.
-    fn drive<'i>(
-        self,
-        n_cells: usize,
-        make: impl Fn(usize) -> (usize, CellImage<'i>),
-        eager: bool,
     ) -> Vec<EvalResult> {
         let Campaign { templates, dataset, mode, serial, mut on_cell } = self;
         validate(dataset, mode);
@@ -329,8 +298,8 @@ impl<'a> Campaign<'a> {
             for i in 0..n_cells {
                 bitrobust_obs::span!("campaign.cell");
                 bitrobust_obs::counter_add("campaign.cells", 1);
-                let (template, cell) = make(i);
-                let replica = build_replica(templates[template], cell.image());
+                let (template, image) = make_cell(i);
+                let replica = build_replica(templates[template], &image);
                 let partials = scheduler::execute_serial(1, n.div_ceil(EVAL_BATCH), |_, batch| {
                     eval_batch(&replica, dataset, batch, mode)
                 });
@@ -342,17 +311,11 @@ impl<'a> Campaign<'a> {
             return results;
         }
 
-        // Wave sizing. Scratch replicas are bounded by parallelism, so
-        // eager silent runs take all cells in one wave. Lazy and streaming
-        // runs use pool-sized waves so image construction stays bounded and
-        // cells land promptly. The split never changes bytes — cells are
-        // independent — only the memory and delivery profile.
+        // Pool-sized waves keep image construction bounded and land cells
+        // promptly. The split never changes bytes — cells are independent —
+        // only the memory and delivery profile.
         let n_batches = n.div_ceil(EVAL_BATCH);
-        let wave = if eager && on_cell.is_none() {
-            n_cells.max(1)
-        } else {
-            scheduler::wave_size(n_batches)
-        };
+        let wave = scheduler::wave_size(n_batches);
         let scratch = ScratchReplicas::new();
         let mut start = 0;
         while start < n_cells {
@@ -361,12 +324,12 @@ impl<'a> Campaign<'a> {
             bitrobust_obs::span!("campaign.wave");
             bitrobust_obs::counter_add("campaign.cells", (end - start) as u64);
             bitrobust_obs::record("campaign.wave_cells", (end - start) as u64);
-            let cells: Vec<(usize, CellImage)> = (start..end).map(&make).collect();
+            let cells: Vec<(usize, QuantizedModel)> = (start..end).map(&make_cell).collect();
             let partials = scheduler::execute_tracked(
                 cells.len(),
                 n_batches,
                 |track| {
-                    let (template, ref cell) = cells[track];
+                    let (template, ref image) = cells[track];
                     assert!(
                         template < templates.len(),
                         "cell {} template index {template} out of range",
@@ -380,10 +343,10 @@ impl<'a> Campaign<'a> {
                     let replica = match scratch.checkout(template) {
                         Some((last, replica)) if last == tag => replica,
                         Some((_, mut replica)) => {
-                            cell.image().write_to(&mut replica);
+                            image.write_to(&mut replica);
                             replica
                         }
-                        None => build_replica(templates[template], cell.image()),
+                        None => build_replica(templates[template], image),
                     };
                     (template, tag, replica, item_span)
                 },

@@ -14,10 +14,11 @@
 //! one). Shards run as a `shards × 1` grid on the shared
 //! [`crate::scheduler`] executor, each against a replica checked out of
 //! the training run's [`ScratchReplicas`] pool, the same pool type every
-//! campaign uses. A checkout miss clones the model ([`Model::clone`] —
-//! parameters and normalization state; caches start empty); later passes
-//! reuse the parked replicas, so live replicas are bounded by the shards
-//! running at once, not by the shard count. Each shard worker:
+//! campaign uses. A checkout miss clones the model ([`Model::clone`]
+//! copies everything, but the primary model runs no training pass on
+//! this path, so it has no caches to copy); later passes reuse the parked
+//! replicas, so live replicas are bounded by the shards running at once,
+//! not by the shard count. Each shard worker:
 //!
 //! 1. copies the current parameters onto its replica
 //!    ([`Model::set_param_tensors`] — an exact bit copy) and zeroes the

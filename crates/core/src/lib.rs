@@ -96,4 +96,4 @@ pub use redundancy::{redundancy_metrics, relu_relevance, RedundancyMetrics};
 pub use scheduler::ScratchReplicas;
 pub use store::{CellRecord, StoreError, SweepStore};
 pub use sweep::{run_sweep, SweepAxis, SweepCell, SweepModel, SweepOptions, SweepResults};
-pub use train::{train, PattPattern, RandBetVariant, TrainConfig, TrainMethod, TrainReport};
+pub use train::{train, RandBetVariant, TrainConfig, TrainMethod, TrainReport};

@@ -1,7 +1,7 @@
 //! Training methods: quantization-aware `NORMAL`/`RQUANT`, `CLIPPING`,
 //! `RANDBET` (Alg. 1 of the paper), and the `PATTBET` baseline.
 
-use bitrobust_biterror::{ChipKind, ProfiledChip, UniformChip};
+use bitrobust_biterror::UniformChip;
 use bitrobust_data::{augment_batch, AugmentConfig, Dataset};
 use bitrobust_nn::{CrossEntropyLoss, Mode, Model, MultiStepLr, Sgd};
 use bitrobust_quant::QuantScheme;
@@ -31,30 +31,6 @@ pub enum RandBetVariant {
     PerturbedOnly,
 }
 
-/// The fixed error pattern `PATTBET` trains on (Kim et al., 2018 /
-/// Koppula et al., 2019 style co-design baseline).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum PattPattern {
-    /// A fixed uniform-random pattern: one [`UniformChip`] at rate `p`.
-    Uniform {
-        /// Chip identity.
-        seed: u64,
-        /// Training bit error rate.
-        p: f64,
-    },
-    /// A profiled chip at the voltage whose measured rate is `rate`.
-    Profiled {
-        /// Which chip structure to synthesize.
-        kind: ChipKind,
-        /// Chip instance seed.
-        seed: u64,
-        /// Target bit error rate (converted to a voltage at train start).
-        rate: f64,
-        /// Restrict to persistent errors (Tab. 16).
-        persistent_only: bool,
-    },
-}
-
 /// The training method (the paper's model names).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TrainMethod {
@@ -76,13 +52,16 @@ pub enum TrainMethod {
         /// Algorithm variant.
         variant: RandBetVariant,
     },
-    /// Fixed-pattern bit error training (`PATTBET`), the non-generalizing
-    /// baseline of Tab. 3 / Tab. 16.
+    /// Fixed-pattern bit error training (`PATTBET`, the Kim et al., 2018 /
+    /// Koppula et al., 2019 style co-design baseline of Tab. 3): every
+    /// step injects the same uniform-random chip at rate `p`.
     PattBet {
         /// Optional clipping bound.
         wmax: Option<f32>,
-        /// The fixed pattern.
-        pattern: PattPattern,
+        /// Identity of the one chip trained on.
+        seed: u64,
+        /// Training bit error rate.
+        p: f64,
     },
 }
 
@@ -180,12 +159,6 @@ pub struct TrainReport {
     pub epoch_losses: Vec<f32>,
 }
 
-enum PattChipState {
-    None,
-    Uniform(UniformChip, f64),
-    Profiled(Box<ProfiledChip>, f64, bool),
-}
-
 /// Runs one training forward over `(x, labels)` through the configured
 /// execution path and returns the batch-mean loss. With `need_grads` it
 /// also adds the batch gradient onto `model`'s accumulated gradients:
@@ -266,20 +239,6 @@ pub fn train(
     let schedule = MultiStepLr::paper_schedule(LR, cfg.epochs);
     let dp = cfg.data_parallel.as_ref();
 
-    let patt_chip = match cfg.method {
-        TrainMethod::PattBet { pattern: PattPattern::Uniform { seed, p }, .. } => {
-            PattChipState::Uniform(UniformChip::new(seed), p)
-        }
-        TrainMethod::PattBet {
-            pattern: PattPattern::Profiled { kind, seed, rate, persistent_only },
-            ..
-        } => {
-            let chip = ProfiledChip::synthesize(kind, seed);
-            let v = chip.voltage_for_rate(rate);
-            PattChipState::Profiled(Box::new(chip), v, persistent_only)
-        }
-        _ => PattChipState::None,
-    };
     let injects = matches!(cfg.method, TrainMethod::RandBet { .. } | TrainMethod::PattBet { .. });
     let perturbed_only =
         matches!(cfg.method, TrainMethod::RandBet { variant: RandBetVariant::PerturbedOnly, .. });
@@ -359,7 +318,7 @@ pub fn train(
                     update_from = model.param_tensors();
                 }
                 // Alg. 1 lines 12-14: perturbed forward/backward.
-                let q2 = perturb(q, &cfg.method, &patt_chip, step, total_steps, &mut rng);
+                let q2 = perturb(q, &cfg.method, step, total_steps, &mut rng);
                 q2.write_to(model);
                 forward_backward(model, &x, &labels, &loss_fn, dp, true, &shard_replicas);
             }
@@ -416,14 +375,13 @@ pub fn train(
 fn perturb(
     q: &QuantizedModel,
     method: &TrainMethod,
-    patt: &PattChipState,
     step: usize,
     total_steps: usize,
     rng: &mut impl Rng,
 ) -> QuantizedModel {
     let mut q2 = q.clone();
-    match (method, patt) {
-        (TrainMethod::RandBet { p, variant, .. }, _) => {
+    match method {
+        TrainMethod::RandBet { p, variant, .. } => {
             let p_eff = match variant {
                 RandBetVariant::Curricular => {
                     let ramp = (step as f64 / (total_steps as f64 / 2.0)).min(1.0);
@@ -436,11 +394,8 @@ fn perturb(
             let chip = UniformChip::new(rng.gen());
             q2.inject(&chip.at_rate(p_eff));
         }
-        (TrainMethod::PattBet { .. }, PattChipState::Uniform(chip, p)) => {
-            q2.inject(&chip.at_rate(*p));
-        }
-        (TrainMethod::PattBet { .. }, PattChipState::Profiled(chip, v, persistent_only)) => {
-            q2.inject(&chip.at_voltage(*v, 0, *persistent_only));
+        TrainMethod::PattBet { seed, p, .. } => {
+            q2.inject(&UniformChip::new(*seed).at_rate(*p));
         }
         _ => unreachable!("perturb called for a method without bit errors"),
     }
@@ -518,10 +473,7 @@ mod tests {
         let built = build(ArchKind::Mlp, [1, 14, 14], 10, NormKind::Group, &mut rng);
         let mut model = built.model;
         let (train_ds, test_ds) = mnist_subset();
-        let mut cfg = quick_cfg(TrainMethod::PattBet {
-            wmax: Some(0.1),
-            pattern: PattPattern::Uniform { seed: 77, p: 0.01 },
-        });
+        let mut cfg = quick_cfg(TrainMethod::PattBet { wmax: Some(0.1), seed: 77, p: 0.01 });
         cfg.warmup_loss = 100.0;
         let report = train(&mut model, &train_ds, &test_ds, &cfg);
         assert!(report.clean_error < 0.6);
@@ -574,10 +526,7 @@ mod tests {
                 p: 0.005,
                 variant: RandBetVariant::PerturbedOnly,
             },
-            TrainMethod::PattBet {
-                wmax: Some(0.1),
-                pattern: PattPattern::Uniform { seed: 7, p: 0.005 },
-            },
+            TrainMethod::PattBet { wmax: Some(0.1), seed: 7, p: 0.005 },
         ];
         for method in methods {
             let mut rng = rand::rngs::StdRng::seed_from_u64(9);

@@ -37,8 +37,8 @@ use common::{tensors_fingerprint, weights_fingerprint};
 
 use bitrobust_core::{
     build, evaluate, evaluate_serial, run_sweep, train, ArchKind, Campaign, ChipAxis, DataParallel,
-    EvalResult, NormKind, PattPattern, QuantizedModel, RandBetVariant, SweepAxis, SweepModel,
-    SweepOptions, SweepStore, TrainConfig, TrainMethod, TrainReport, EVAL_BATCH, TRAIN_SHARDS,
+    EvalResult, NormKind, QuantizedModel, RandBetVariant, SweepAxis, SweepModel, SweepOptions,
+    SweepStore, TrainConfig, TrainMethod, TrainReport, EVAL_BATCH, TRAIN_SHARDS,
 };
 use bitrobust_data::{AugmentConfig, Dataset, SynthDataset};
 use bitrobust_nn::{Mode, Model};
@@ -96,10 +96,7 @@ fn training_report() -> TrainReport {
 fn dp_methods() -> [TrainMethod; 3] {
     [
         TrainMethod::RandBet { wmax: Some(0.1), p: 0.01, variant: RandBetVariant::Standard },
-        TrainMethod::PattBet {
-            wmax: Some(0.1),
-            pattern: PattPattern::Uniform { seed: 77, p: 0.01 },
-        },
+        TrainMethod::PattBet { wmax: Some(0.1), seed: 77, p: 0.01 },
         TrainMethod::RandBet { wmax: Some(0.1), p: 0.01, variant: RandBetVariant::Alternating },
     ]
 }
@@ -306,13 +303,13 @@ fn worker_fingerprints() {
     assert_eq!(clean, evaluate_serial(&model, &test));
     println!("FP clean_evaluate {}", fp_results(&[clean]));
 
-    // (b)+(c) campaign: serial reference vs the eager one-wave run and
-    // streaming delivery.
+    // (b)+(c) campaign: serial reference vs the parallel run, silent and
+    // streaming.
     let images = chip_images(&model, 6, 0.02);
     let serial = Campaign::new(&model, &test).serial().run(&images);
     let streamed = Campaign::new(&model, &test).on_cell(|_, _| {}).run(&images);
     assert_eq!(serial, streamed);
-    assert_eq!(serial, Campaign::new(&model, &test).run(&images), "eager campaign");
+    assert_eq!(serial, Campaign::new(&model, &test).run(&images), "parallel campaign");
     println!("FP campaign {}", fp_results(&serial));
 
     // (d) single-model training.
@@ -376,7 +373,7 @@ fn worker_fingerprints() {
 
     // (g) conv: SimpleNet-GN inference, one protocol-sharded RandBET step
     // (parallel vs serial shards: report, weights, reduced gradient), and a
-    // campaign (serial vs eager).
+    // campaign (serial vs parallel).
     let (model, train_ds, test_ds) = common::simplenet_fixture();
     let (x, _) = test_ds.batch_range(0, 5);
     let mut conv_fp = format!("{:016x}|", tensors_fingerprint(&[model.infer(&x, Mode::Eval)]));
@@ -399,7 +396,7 @@ fn worker_fingerprints() {
     .unwrap();
     let images = chip_images(&model, 2, 0.02);
     let serial = Campaign::new(&model, &test_ds).serial().run(&images);
-    assert_eq!(serial, Campaign::new(&model, &test_ds).run(&images), "eager conv campaign");
+    assert_eq!(serial, Campaign::new(&model, &test_ds).run(&images), "parallel conv campaign");
     conv_fp.push_str(&fp_results(&serial));
     println!("FP simplenet {conv_fp}");
 }

@@ -364,7 +364,7 @@ fn golden_campaign_cell_is_pinned() {
     assert_eq!(std.to_bits(), GOLDEN_CELL_STD, "cell std drifted; actual 0x{:08x}", std.to_bits());
 }
 
-/// The eager `Campaign::run` path — one wave of all cells, patterns held as
+/// The `Campaign::run` path — pool-sized waves of cells, patterns held as
 /// quantized integer images and written into scratch replicas per work
 /// item — must reproduce the pinned cell bit-for-bit.
 #[test]
@@ -387,7 +387,7 @@ fn golden_cell_is_pinned_through_eager_campaign_run() {
     assert_eq!(
         bits(&errors),
         GOLDEN_CELL_ERRORS,
-        "eager campaign per-chip errors drifted; actual {}",
+        "campaign per-chip errors drifted; actual {}",
         hex(&bits(&errors))
     );
 }

@@ -61,7 +61,7 @@ fn profiled_sweep_matches_manual_tab5_loop_bit_for_bit() {
     let results = run_sweep(&models, &axes, &test, &SweepOptions::default(), None, |_, _| {});
 
     // The pre-orchestrator tab5 path: materialize every (rate, offset)
-    // image up front and run one eager campaign.
+    // image up front and run them through one campaign.
     let chip = axis.synthesize();
     let q0 = QuantizedModel::quantize(&a, scheme);
     let mut images = Vec::new();

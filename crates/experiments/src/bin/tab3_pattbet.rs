@@ -1,5 +1,5 @@
-//! **Tab. 3 / Tab. 16** — Fixed-pattern bit error training (`PATTBET`)
-//! does not generalize.
+//! **Tab. 3** — Fixed-pattern bit error training (`PATTBET`) does not
+//! generalize.
 //!
 //! Trains on one fixed bit error pattern (the co-design approach of
 //! Kim et al., 2018 / Koppula et al., 2019) and evaluates:
@@ -12,7 +12,7 @@
 //! The `RANDBET` row shows the contrast: trained on fresh random errors,
 //! it generalizes to both.
 
-use bitrobust_core::{robust_eval, ChipAxis, PattPattern, RandBetVariant, TrainMethod};
+use bitrobust_core::{robust_eval, ChipAxis, RandBetVariant, TrainMethod};
 use bitrobust_experiments::{
     dataset_pair, pct, protocol_axis, zoo_model, DatasetKind, ExpOptions, Table,
 };
@@ -29,17 +29,11 @@ fn main() {
     let configs: Vec<(String, TrainMethod)> = vec![
         (
             format!("PATTBET p={:.1}%", 100.0 * p_train),
-            TrainMethod::PattBet {
-                wmax: None,
-                pattern: PattPattern::Uniform { seed: FIXED_CHIP_SEED, p: p_train },
-            },
+            TrainMethod::PattBet { wmax: None, seed: FIXED_CHIP_SEED, p: p_train },
         ),
         (
             format!("PATTBET 0.15 p={:.1}%", 100.0 * p_train),
-            TrainMethod::PattBet {
-                wmax: Some(0.15),
-                pattern: PattPattern::Uniform { seed: FIXED_CHIP_SEED, p: p_train },
-            },
+            TrainMethod::PattBet { wmax: Some(0.15), seed: FIXED_CHIP_SEED, p: p_train },
         ),
         (
             format!("RANDBET 0.15 p={:.1}%", 100.0 * p_train),

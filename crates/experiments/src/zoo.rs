@@ -10,8 +10,8 @@ use std::fs;
 use std::path::PathBuf;
 
 use bitrobust_core::{
-    build, scheduler, train, ArchKind, DataParallel, NormKind, PattPattern, RandBetVariant,
-    TrainConfig, TrainMethod, TrainReport,
+    build, scheduler, train, ArchKind, DataParallel, NormKind, RandBetVariant, TrainConfig,
+    TrainMethod, TrainReport,
 };
 use bitrobust_data::{AugmentConfig, Dataset, SynthDataset};
 use bitrobust_nn::Model;
@@ -167,16 +167,11 @@ impl ZooSpec {
                     wmax.map_or("none".into(), |w| format!("{w:.3}"))
                 )
             }
-            TrainMethod::PattBet { wmax, pattern } => {
-                let pat = match pattern {
-                    PattPattern::Uniform { seed, p } => format!("u{seed}p{p:.4}"),
-                    PattPattern::Profiled { kind, seed, rate, persistent_only } => format!(
-                        "{}s{seed}r{rate:.4}{}",
-                        kind.name(),
-                        if *persistent_only { "pers" } else { "all" }
-                    ),
-                };
-                format!("pattbet-w{}-{pat}", wmax.map_or("none".into(), |w| format!("{w:.3}")))
+            TrainMethod::PattBet { wmax, seed, p } => {
+                format!(
+                    "pattbet-w{}-u{seed}p{p:.4}",
+                    wmax.map_or("none".into(), |w| format!("{w:.3}"))
+                )
             }
         };
         let ls = self.label_smoothing.map_or("ls0".to_string(), |t| format!("ls{t:.2}"));
@@ -423,6 +418,19 @@ mod tests {
         assert_eq!(a.key(), a.key());
         assert!(a.key().contains("cifar10"));
         assert!(b.key().contains("clip0.100"));
+        // Cached PATTBET models load by these exact keys.
+        let pattbet = |wmax| {
+            let method = TrainMethod::PattBet { wmax, seed: 777_777, p: 0.025 };
+            ZooSpec::new(DatasetKind::Cifar10, Some(QuantScheme::rquant(8)), method).key()
+        };
+        assert_eq!(
+            pattbet(None),
+            "cifar10-simplenet-gn-q8laun-pattbet-wnone-u777777p0.0250-ls0-e20-s0-dp8"
+        );
+        assert_eq!(
+            pattbet(Some(0.15)),
+            "cifar10-simplenet-gn-q8laun-pattbet-w0.150-u777777p0.0250-ls0-e20-s0-dp8"
+        );
     }
 
     /// The execution plan is part of the cache identity: data-parallel

@@ -17,7 +17,7 @@ use crate::{Layer, Mode};
 /// let y = relu.forward(&x, Mode::Eval);
 /// assert_eq!(y.data(), &[0.0, 0.0, 2.0]);
 /// ```
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct Relu {
     mask: Vec<bool>,
 }
@@ -30,20 +30,14 @@ impl Relu {
 }
 
 impl Layer for Relu {
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
-        if mode.is_train() {
-            self.mask = input.data().iter().map(|&v| v > 0.0).collect();
-        }
+    fn train_forward(&mut self, input: &Tensor) -> Tensor {
+        self.mask = input.data().iter().map(|&v| v > 0.0).collect();
         input.map(|v| v.max(0.0))
     }
 
     fn infer(&self, input: &Tensor, mode: Mode) -> Tensor {
         mode.assert_inference();
         input.map(|v| v.max(0.0))
-    }
-
-    fn clone_layer(&self) -> Box<dyn Layer> {
-        Box::new(Self::new())
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {

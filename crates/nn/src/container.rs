@@ -21,7 +21,7 @@ use crate::{Layer, Mode, Param};
 /// let y = net.forward(&Tensor::zeros(&[3, 4]), Mode::Eval);
 /// assert_eq!(y.shape(), &[3, 2]);
 /// ```
-#[derive(Default)]
+#[derive(Clone, Default)]
 pub struct Sequential {
     layers: Vec<Box<dyn Layer>>,
 }
@@ -60,17 +60,11 @@ impl Sequential {
     }
 }
 
-impl Clone for Sequential {
-    fn clone(&self) -> Self {
-        Self { layers: self.layers.iter().map(|l| l.clone_layer()).collect() }
-    }
-}
-
 impl Layer for Sequential {
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
+    fn train_forward(&mut self, input: &Tensor) -> Tensor {
         let mut x = input.clone();
         for layer in &mut self.layers {
-            x = layer.forward(&x, mode);
+            x = layer.train_forward(&x);
         }
         x
     }
@@ -82,10 +76,6 @@ impl Layer for Sequential {
             x = layer.infer(&x, mode);
         }
         x
-    }
-
-    fn clone_layer(&self) -> Box<dyn Layer> {
-        Box::new(self.clone())
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
@@ -129,6 +119,7 @@ impl Layer for Sequential {
 ///
 /// The shortcut defaults to identity; set one (e.g. a strided 1×1
 /// convolution) when the body changes shape.
+#[derive(Clone)]
 pub struct Residual {
     body: Sequential,
     shortcut: Option<Box<dyn Layer>>,
@@ -155,19 +146,24 @@ impl Residual {
     }
 }
 
+/// `branch + skip`, the residual join of both passes.
+fn join(branch: Tensor, skip: Tensor) -> Tensor {
+    assert_eq!(
+        branch.shape(),
+        skip.shape(),
+        "residual body and shortcut produced different shapes"
+    );
+    &branch + &skip
+}
+
 impl Layer for Residual {
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
-        let branch = self.body.forward(input, mode);
+    fn train_forward(&mut self, input: &Tensor) -> Tensor {
+        let branch = self.body.train_forward(input);
         let skip = match &mut self.shortcut {
-            Some(layer) => layer.forward(input, mode),
+            Some(layer) => layer.train_forward(input),
             None => input.clone(),
         };
-        assert_eq!(
-            branch.shape(),
-            skip.shape(),
-            "residual body and shortcut produced different shapes"
-        );
-        &branch + &skip
+        join(branch, skip)
     }
 
     fn infer(&self, input: &Tensor, mode: Mode) -> Tensor {
@@ -177,19 +173,7 @@ impl Layer for Residual {
             Some(layer) => layer.infer(input, mode),
             None => input.clone(),
         };
-        assert_eq!(
-            branch.shape(),
-            skip.shape(),
-            "residual body and shortcut produced different shapes"
-        );
-        &branch + &skip
-    }
-
-    fn clone_layer(&self) -> Box<dyn Layer> {
-        Box::new(Self {
-            body: self.body.clone(),
-            shortcut: self.shortcut.as_ref().map(|l| l.clone_layer()),
-        })
+        join(branch, skip)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
@@ -235,7 +219,7 @@ impl Layer for Residual {
 }
 
 /// Flattens `[batch, ...]` into `[batch, features]`.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct Flatten {
     input_shape: Vec<usize>,
 }
@@ -245,29 +229,26 @@ impl Flatten {
     pub fn new() -> Self {
         Self::default()
     }
-}
 
-impl Layer for Flatten {
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
+    /// The cache-free reshape shared by both passes.
+    fn compute(input: &Tensor) -> Tensor {
         assert!(input.ndim() >= 2, "Flatten expects at least [batch, features]");
         let batch = input.dim(0);
         let features = input.numel() / batch;
-        if mode.is_train() {
-            self.input_shape = input.shape().to_vec();
-        }
         input.clone().reshape(&[batch, features])
+    }
+}
+
+impl Layer for Flatten {
+    fn train_forward(&mut self, input: &Tensor) -> Tensor {
+        let out = Self::compute(input);
+        self.input_shape = input.shape().to_vec();
+        out
     }
 
     fn infer(&self, input: &Tensor, mode: Mode) -> Tensor {
         mode.assert_inference();
-        assert!(input.ndim() >= 2, "Flatten expects at least [batch, features]");
-        let batch = input.dim(0);
-        let features = input.numel() / batch;
-        input.clone().reshape(&[batch, features])
-    }
-
-    fn clone_layer(&self) -> Box<dyn Layer> {
-        Box::new(Self::new())
+        Self::compute(input)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {

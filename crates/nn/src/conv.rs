@@ -56,7 +56,7 @@ thread_local! {
 /// let y = conv.forward(&x, Mode::Eval);
 /// assert_eq!(y.shape(), &[2, 8, 16, 16]);
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Conv2d {
     weight: Param,
     bias: Param,
@@ -106,15 +106,6 @@ impl Conv2d {
         self.weight.value().dim(0)
     }
 
-    /// Output spatial size for a given input spatial size.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the padded input is smaller than the kernel.
-    pub fn output_size(&self, h: usize, w: usize) -> (usize, usize) {
-        self.geometry(h, w).out_size()
-    }
-
     fn geometry(&self, h: usize, w: usize) -> ConvGeometry {
         ConvGeometry::new(self.in_channels(), h, w, self.kernel, self.stride, self.padding)
     }
@@ -127,7 +118,7 @@ impl Conv2d {
         (input.dim(0), self.geometry(input.dim(2), input.dim(3)))
     }
 
-    /// The cache-free forward computation shared by `forward` and `infer`.
+    /// The cache-free forward computation shared by both passes.
     fn compute(&self, input: &Tensor) -> Tensor {
         let (batch, g) = self.dims(input);
         let (oc, k, ohw) = (self.out_channels(), g.rows(), g.cols());
@@ -153,27 +144,14 @@ impl Conv2d {
 }
 
 impl Layer for Conv2d {
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
-        if mode.is_train() {
-            self.input_cache = Some(input.clone());
-        }
+    fn train_forward(&mut self, input: &Tensor) -> Tensor {
+        self.input_cache = Some(input.clone());
         self.compute(input)
     }
 
     fn infer(&self, input: &Tensor, mode: Mode) -> Tensor {
         mode.assert_inference();
         self.compute(input)
-    }
-
-    fn clone_layer(&self) -> Box<dyn Layer> {
-        Box::new(Self {
-            weight: self.weight.clone(),
-            bias: self.bias.clone(),
-            kernel: self.kernel,
-            stride: self.stride,
-            padding: self.padding,
-            input_cache: None,
-        })
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
@@ -428,7 +406,7 @@ mod tests {
 
     impl Reference {
         fn new(conv: &Conv2d, h: usize, w: usize) -> Self {
-            let (oh, ow) = conv.output_size(h, w);
+            let (oh, ow) = conv.geometry(h, w).out_size();
             let (kernel, stride, padding) = (conv.kernel, conv.stride, conv.padding);
             let (ic, oc) = (conv.in_channels(), conv.out_channels());
             Self { ic, h, w, kernel, stride, padding, oh, ow, oc }
@@ -598,7 +576,7 @@ mod tests {
     fn output_size_formula() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(8);
         let conv = Conv2d::new(1, 1, 3, 2, 1, &mut rng);
-        assert_eq!(conv.output_size(16, 16), (8, 8));
-        assert_eq!(conv.output_size(7, 9), (4, 5));
+        assert_eq!(conv.geometry(16, 16).out_size(), (8, 8));
+        assert_eq!(conv.geometry(7, 9).out_size(), (4, 5));
     }
 }

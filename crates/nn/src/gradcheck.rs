@@ -2,13 +2,12 @@
 //!
 //! Every layer's hand-written backward pass is validated against central
 //! finite differences of the scalar loss `L = Σ G ⊙ forward(x)` for a random
-//! projection tensor `G`. This is a testing utility; it is exported so the
-//! integration tests and downstream crates can validate composite layers.
+//! projection tensor `G`. The crate's unit tests run it on every layer.
 
 use bitrobust_tensor::Tensor;
 use rand::Rng;
 
-use crate::{Layer, Mode};
+use crate::Layer;
 
 /// Tolerances and step size for [`check_layer_gradients`].
 #[derive(Debug, Clone, Copy)]
@@ -41,12 +40,12 @@ pub fn check_layer_gradients(
     rng: &mut impl Rng,
 ) {
     let x = Tensor::randn(input_shape, 1.0, rng);
-    let y0 = layer.forward(&x, Mode::Train);
+    let y0 = layer.train_forward(&x);
     let projection = Tensor::randn(y0.shape(), 1.0, rng);
 
     // Analytic gradients.
     layer.visit_params(&mut |p| p.zero_grad());
-    let _ = layer.forward(&x, Mode::Train);
+    let _ = layer.train_forward(&x);
     let dx = layer.backward(&projection);
 
     // Numeric input gradient.
@@ -74,7 +73,7 @@ pub fn check_layer_gradients(
 }
 
 fn loss_of(layer: &mut dyn Layer, x: &Tensor, projection: &Tensor) -> f64 {
-    let y = layer.forward(x, Mode::Train);
+    let y = layer.train_forward(x);
     y.data().iter().zip(projection.data()).map(|(&a, &b)| a as f64 * b as f64).sum()
 }
 

@@ -39,45 +39,59 @@ impl Mode {
 
 /// A differentiable layer with hand-written backprop.
 ///
-/// Contract:
+/// Contract: a layer has exactly three passes.
 ///
-/// * `forward` in [`Mode::Train`] must cache whatever `backward` needs;
-///   `backward` may only be called after a training-mode forward and consumes
-///   that cache conceptually (calling it twice without a new forward is a
-///   logic error, though layers are not required to detect it).
-/// * `infer` is the immutable inference path: it must produce **bit-identical
-///   outputs** to `forward` for the same non-training mode, without touching
-///   any activation cache. Because it takes `&self` (and `Layer` requires
-///   `Sync`), one layer tree can serve concurrent evaluation passes — the
-///   property the fault-injection campaign engine builds on.
-/// * `backward` receives `dL/d(output)` and returns `dL/d(input)`;
-///   it **accumulates** parameter gradients (`+=`) so that multi-pass
-///   training schemes (e.g. random bit error training, which averages a
-///   clean and a perturbed gradient) work without extra buffers.
-/// * `visit_params` yields parameters in a deterministic order; the order
-///   defines the global parameter indexing used for quantization, bit error
-///   injection offsets, and serialization.
-/// * `clone_layer` duplicates the layer's parameters and configuration
-///   (activation caches need not be preserved), enabling whole-model
-///   replicas for parallel evaluation.
-pub trait Layer: Send + Sync {
-    /// Computes the layer output.
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor;
+/// * [`Layer::train_forward`] is the training pass. It caches whatever
+///   `backward` reads, uses batch statistics, and updates running
+///   statistics in normalization layers.
+/// * [`Layer::infer`] is the inference pass for a non-training mode. It
+///   takes `&self` and touches no cache, so one layer tree (`Layer`
+///   requires `Sync`) can serve concurrent evaluation passes — the property
+///   the fault-injection campaign engine builds on.
+/// * [`Layer::backward`] receives `dL/d(output)` of the last training pass
+///   and returns `dL/d(input)`. It **accumulates** parameter gradients
+///   (`+=`) so that multi-pass training schemes (e.g. random bit error
+///   training, which averages a clean and a perturbed gradient) work
+///   without extra buffers. Calling it twice without a new training pass
+///   is a logic error that layers need not detect.
+///
+/// [`Layer::forward`] only dispatches on the mode, so a non-training
+/// `forward` is `infer` by construction.
+///
+/// A clone (every layer is `Clone`; boxed layers clone through
+/// [`CloneLayer`]) copies everything: parameters, accumulated gradients,
+/// running statistics and activation caches, so a clone taken between a
+/// training pass and `backward` backprops like the original.
+/// [`Layer::clear_cache`] frees the caches.
+///
+/// `visit_params` yields parameters in a deterministic order; the order
+/// defines the global parameter indexing used for quantization, bit error
+/// injection offsets, and serialization.
+pub trait Layer: CloneLayer + Send + Sync {
+    /// The training pass: computes the output and caches what
+    /// [`Layer::backward`] reads.
+    fn train_forward(&mut self, input: &Tensor) -> Tensor;
 
     /// Computes the layer output without mutating any state.
     ///
     /// # Panics
     ///
     /// Panics if `mode` is [`Mode::Train`]: training passes must go through
-    /// [`Layer::forward`] so backward caches are populated.
+    /// [`Layer::train_forward`] so backward caches are populated.
     fn infer(&self, input: &Tensor, mode: Mode) -> Tensor;
-
-    /// Clones the layer (parameters and configuration; caches may be reset).
-    fn clone_layer(&self) -> Box<dyn Layer>;
 
     /// Propagates gradients; returns `dL/d(input)` and accumulates parameter
     /// gradients.
     fn backward(&mut self, grad_output: &Tensor) -> Tensor;
+
+    /// Computes the layer output: [`Layer::train_forward`] in
+    /// [`Mode::Train`], [`Layer::infer`] in every other mode.
+    fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
+        match mode {
+            Mode::Train => self.train_forward(input),
+            Mode::Eval | Mode::EvalBatchStats => self.infer(input, mode),
+        }
+    }
 
     /// Visits all trainable parameters in deterministic order.
     fn visit_params(&mut self, visitor: &mut dyn FnMut(&mut Param)) {
@@ -115,6 +129,26 @@ pub trait Layer: Send + Sync {
 
     /// Releases cached activations to free memory (optional).
     fn clear_cache(&mut self) {}
+}
+
+/// Clones a layer behind a `Box<dyn Layer>`. Implemented for every
+/// `Layer + Clone`; it is what makes `Box<dyn Layer>`, and with it the
+/// containers and [`crate::Model`], `Clone`.
+pub trait CloneLayer {
+    /// A boxed copy of the whole layer, caches included.
+    fn clone_layer(&self) -> Box<dyn Layer>;
+}
+
+impl<T: Layer + Clone + 'static> CloneLayer for T {
+    fn clone_layer(&self) -> Box<dyn Layer> {
+        Box::new(self.clone())
+    }
+}
+
+impl Clone for Box<dyn Layer> {
+    fn clone(&self) -> Self {
+        (**self).clone_layer()
+    }
 }
 
 #[cfg(test)]

@@ -20,8 +20,14 @@
 //!   serialization, and a gradient buffer API
 //!   ([`Model::grad_tensors`] / [`Model::accumulate_grads`] plus the
 //!   fixed-shape [`tree_reduce_grads`] reduction) for deterministic
-//!   data-parallel training;
-//! * a finite-difference [`gradcheck`] harness validating every layer.
+//!   data-parallel training.
+//!
+//! Every [`Layer`] has three passes: a training pass that caches what
+//! backward reads, an immutable inference pass, and backward;
+//! [`Layer::forward`] picks the first two by [`Mode`]. Layers, containers
+//! and models are `Clone`, and a clone copies everything, caches included.
+//! A finite-difference harness (a test-only module) validates every
+//! layer's backward pass.
 //!
 //! Normalization layers implement the paper's App. E reparameterization
 //! (`scale = 1 + alpha'`) so aggressive weight clipping cannot pin scales
@@ -61,7 +67,8 @@ mod activation;
 mod container;
 mod conv;
 mod grad;
-pub mod gradcheck;
+#[cfg(test)]
+mod gradcheck;
 pub mod init;
 mod layer;
 mod linear;
@@ -76,7 +83,7 @@ pub use activation::Relu;
 pub use container::{Flatten, Residual, Sequential};
 pub use conv::{Conv2d, CONV_COL_PANEL};
 pub use grad::tree_reduce_grads;
-pub use layer::{Layer, Mode};
+pub use layer::{CloneLayer, Layer, Mode};
 pub use linear::Linear;
 pub use loss::{CrossEntropyLoss, LossOutput};
 pub use model::Model;

@@ -20,7 +20,7 @@ use crate::{init, Layer, Mode, Param, ParamKind};
 /// let y = fc.forward(&x, Mode::Eval);
 /// assert_eq!(y.shape(), &[2, 4]);
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Linear {
     weight: Param,
     bias: Param,
@@ -46,12 +46,7 @@ impl Linear {
         self.weight.value().dim(1)
     }
 
-    /// Output feature count.
-    pub fn out_features(&self) -> usize {
-        self.weight.value().dim(0)
-    }
-
-    /// The cache-free forward computation shared by `forward` and `infer`.
+    /// The cache-free forward computation shared by both passes.
     fn compute(&self, input: &Tensor) -> Tensor {
         assert_eq!(input.ndim(), 2, "Linear expects [batch, features]");
         assert_eq!(input.dim(1), self.in_features(), "Linear input feature mismatch");
@@ -69,20 +64,14 @@ impl Linear {
 }
 
 impl Layer for Linear {
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
-        if mode.is_train() {
-            self.input_cache = Some(input.clone());
-        }
+    fn train_forward(&mut self, input: &Tensor) -> Tensor {
+        self.input_cache = Some(input.clone());
         self.compute(input)
     }
 
     fn infer(&self, input: &Tensor, mode: Mode) -> Tensor {
         mode.assert_inference();
         self.compute(input)
-    }
-
-    fn clone_layer(&self) -> Box<dyn Layer> {
-        Box::new(Self { weight: self.weight.clone(), bias: self.bias.clone(), input_cache: None })
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {

@@ -58,11 +58,6 @@ impl CrossEntropyLoss {
         Self { smoothing_target: Some(tau) }
     }
 
-    /// The smoothing target, if label smoothing is enabled.
-    pub fn smoothing_target(&self) -> Option<f32> {
-        self.smoothing_target
-    }
-
     /// Computes the batch-mean loss, logits gradient, and probabilities.
     ///
     /// # Panics

@@ -16,6 +16,11 @@ use crate::{Layer, Mode, Param, Sequential};
 /// Parameter order is the deterministic visit order of the layer tree; this
 /// order defines the linear weight-to-memory mapping used for bit error
 /// injection.
+///
+/// A clone copies everything: parameters, accumulated gradients, running
+/// statistics and activation caches ([`Model::clear_caches`] frees the
+/// latter).
+#[derive(Clone)]
 pub struct Model {
     name: String,
     root: Sequential,
@@ -27,14 +32,6 @@ const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<Model>();
 };
-
-impl Clone for Model {
-    /// Duplicates the model's parameters and structure (activation caches
-    /// and accumulated gradients start fresh in the copy).
-    fn clone(&self) -> Self {
-        Self { name: self.name.clone(), root: self.root.clone() }
-    }
-}
 
 impl std::fmt::Debug for Model {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -53,14 +50,15 @@ impl Model {
         &self.name
     }
 
-    /// Forward pass.
+    /// Forward pass: the training pass in [`Mode::Train`], [`Model::infer`]
+    /// in every other mode.
     pub fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
         self.root.forward(input, mode)
     }
 
-    /// Immutable inference pass: bit-identical to [`Model::forward`] for the
-    /// same non-training `mode`, but requires no exclusive access, so one
-    /// model can serve concurrent evaluation workers.
+    /// Immutable inference pass: what [`Model::forward`] runs in a
+    /// non-training `mode`, but requires no exclusive access, so one model
+    /// can serve concurrent evaluation workers.
     ///
     /// # Panics
     ///
@@ -108,13 +106,6 @@ impl Model {
     pub fn num_params(&self) -> usize {
         let mut n = 0;
         self.visit_params_ref(&mut |p| n += p.numel());
-        n
-    }
-
-    /// Number of parameter tensors.
-    pub fn num_param_tensors(&self) -> usize {
-        let mut n = 0;
-        self.visit_params_ref(&mut |_| n += 1);
         n
     }
 
@@ -268,7 +259,6 @@ mod tests {
     fn num_params_counts_scalars() {
         let m = toy_model(3);
         assert_eq!(m.num_params(), 4 * 8 + 8 + 8 * 3 + 3);
-        assert_eq!(m.num_param_tensors(), 4);
     }
 
     #[test]
@@ -352,7 +342,7 @@ mod tests {
         let out = CrossEntropyLoss::new().compute(&logits, &labels);
         m.backward(&out.grad);
         let reference = m.grad_tensors();
-        assert_eq!(reference.len(), m.num_param_tensors());
+        assert_eq!(reference.len(), 4);
 
         // A replica doing the same work hands its buffers back losslessly.
         let mut replica = m.clone();
@@ -392,7 +382,7 @@ mod tests {
         let mut immutable = Vec::new();
         m.visit_params_ref(&mut |p| immutable.push((p.name().to_string(), p.value().clone())));
         assert_eq!(mutable, immutable);
-        assert_eq!(m.param_tensors().len(), m.num_param_tensors());
+        assert_eq!(m.param_tensors().len(), mutable.len());
     }
 
     #[test]
@@ -412,25 +402,33 @@ mod tests {
         assert!(s.contains(&format!("{}", 4 * 8 + 8 + 8 * 3 + 3)));
     }
 
-    /// Guards the `visit_params` / `visit_params_ref` pairing contract over
-    /// every parameter-bearing layer and container in the crate: a layer
-    /// that overrides only the mutable visitor would silently vanish from
-    /// quantization and serialization (which use the ref path).
-    #[test]
-    fn every_param_layer_agrees_between_ref_and_mut_visitors() {
-        use crate::{BatchNorm2d, Conv2d, Flatten, GroupNorm, Residual};
+    /// One model holding every layer kind of the crate.
+    fn every_layer_model(seed: u64) -> Model {
+        use crate::{BatchNorm2d, Conv2d, Flatten, GlobalAvgPool, GroupNorm, MaxPool2d, Residual};
 
-        let mut rng = rand::rngs::StdRng::seed_from_u64(14);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let mut body = Sequential::new();
         body.push(Conv2d::new(2, 2, 3, 1, 1, &mut rng));
         body.push(GroupNorm::new(2, 1));
         let mut net = Sequential::new();
         net.push(Conv2d::new(2, 2, 3, 1, 1, &mut rng));
         net.push(BatchNorm2d::new(2));
+        net.push(Relu::new());
         net.push(Residual::with_shortcut(body, Conv2d::new(2, 2, 1, 1, 0, &mut rng)));
+        net.push(MaxPool2d::new(2, 2));
+        net.push(GlobalAvgPool::new());
         net.push(Flatten::new());
-        net.push(Linear::new(2 * 4 * 4, 3, &mut rng));
-        let mut m = Model::new("all-layers", net);
+        net.push(Linear::new(2, 3, &mut rng));
+        Model::new("all-layers", net)
+    }
+
+    /// Guards the `visit_params` / `visit_params_ref` pairing contract over
+    /// every parameter-bearing layer and container in the crate: a layer
+    /// that overrides only the mutable visitor would silently vanish from
+    /// quantization and serialization (which use the ref path).
+    #[test]
+    fn every_param_layer_agrees_between_ref_and_mut_visitors() {
+        let mut m = every_layer_model(14);
 
         let mut mutable = Vec::new();
         m.visit_params(&mut |p| mutable.push((p.name().to_string(), p.value().clone())));
@@ -444,5 +442,25 @@ mod tests {
         m.visit_layers(&mut |l| types.push(l.layer_type()));
         assert_eq!(types.iter().filter(|t| **t == "Conv2d").count(), 3);
         assert_eq!(types.iter().filter(|t| **t == "Sequential").count(), 2);
+    }
+
+    /// A clone copies the activation caches: taken between a training pass
+    /// and `backward`, it backprops to the same input and parameter
+    /// gradients as the original, through every layer kind.
+    #[test]
+    fn clone_after_training_pass_backprops_like_the_original() {
+        let mut m = every_layer_model(15);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(16);
+        let x = Tensor::randn(&[3, 2, 8, 8], 1.0, &mut rng);
+        let y = m.forward(&x, Mode::Train);
+        let mut copy = m.clone();
+        let dy = Tensor::randn(y.shape(), 1.0, &mut rng);
+
+        let dx = m.backward(&dy);
+        let dx_copy = copy.backward(&dy);
+        assert_eq!(dx, dx_copy, "input gradients differ");
+        let grads = m.grad_tensors();
+        assert!(grads.iter().any(|g| g.abs_max() > 0.0), "backward accumulated nothing");
+        assert_eq!(grads, copy.grad_tensors(), "parameter gradients differ");
     }
 }

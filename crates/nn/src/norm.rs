@@ -30,7 +30,7 @@ const EPS: f32 = 1e-5;
 /// let y = gn.forward(&x, Mode::Eval);
 /// assert_eq!(y.shape(), &[2, 8, 3, 3]);
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct GroupNorm {
     scale: Param, // alpha' = alpha - 1
     shift: Param,
@@ -56,12 +56,7 @@ impl GroupNorm {
         }
     }
 
-    /// Number of channel groups.
-    pub fn groups(&self) -> usize {
-        self.groups
-    }
-
-    /// Per-group normalization pass shared by `forward` and `infer`.
+    /// Per-group normalization shared by both passes.
     fn normalize(&self, input: &Tensor) -> (Tensor, Vec<f32>) {
         assert_eq!(input.ndim(), 4, "GroupNorm expects [batch, ch, h, w]");
         let (batch, ch, h, w) = (input.dim(0), input.dim(1), input.dim(2), input.dim(3));
@@ -115,13 +110,11 @@ impl GroupNorm {
 }
 
 impl Layer for GroupNorm {
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
+    fn train_forward(&mut self, input: &Tensor) -> Tensor {
         let (normalized, inv_stds) = self.normalize(input);
         let out = self.scale_shift(&normalized);
-        if mode.is_train() {
-            self.normalized_cache = Some(normalized);
-            self.inv_std_cache = inv_stds;
-        }
+        self.normalized_cache = Some(normalized);
+        self.inv_std_cache = inv_stds;
         out
     }
 
@@ -129,16 +122,6 @@ impl Layer for GroupNorm {
         mode.assert_inference();
         let (normalized, _) = self.normalize(input);
         self.scale_shift(&normalized)
-    }
-
-    fn clone_layer(&self) -> Box<dyn Layer> {
-        Box::new(Self {
-            scale: self.scale.clone(),
-            shift: self.shift.clone(),
-            groups: self.groups,
-            normalized_cache: None,
-            inv_std_cache: Vec::new(),
-        })
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
@@ -229,7 +212,7 @@ impl Layer for GroupNorm {
 /// weight bit errors the paper demonstrates). [`Mode::EvalBatchStats`]
 /// recomputes statistics from the evaluation batch without updating the
 /// running buffers.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct BatchNorm2d {
     scale: Param, // alpha' = alpha - 1
     shift: Param,
@@ -254,31 +237,16 @@ impl BatchNorm2d {
         }
     }
 
-    /// Read access to the running mean (for tests and serialization).
-    pub fn running_mean(&self) -> &[f32] {
-        &self.running_mean
-    }
-
-    /// Read access to the running variance.
-    pub fn running_var(&self) -> &[f32] {
-        &self.running_var
-    }
-
-    /// Overwrites the running statistics (used when loading a saved model).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slice lengths do not match the channel count.
-    pub fn set_running_stats(&mut self, mean: &[f32], var: &[f32]) {
-        assert_eq!(mean.len(), self.running_mean.len(), "running mean length");
-        assert_eq!(var.len(), self.running_var.len(), "running var length");
-        self.running_mean.copy_from_slice(mean);
-        self.running_var.copy_from_slice(var);
+    /// `[batch, ch, h, w]` of `input`, checked against this layer.
+    fn dims(&self, input: &Tensor) -> (usize, usize, usize, usize) {
+        assert_eq!(input.ndim(), 4, "BatchNorm2d expects [batch, ch, h, w]");
+        assert_eq!(input.dim(1), self.scale.numel(), "BatchNorm2d channel mismatch");
+        (input.dim(0), input.dim(1), input.dim(2), input.dim(3))
     }
 
     /// Per-channel batch statistics of `input`.
     fn batch_stats(&self, input: &Tensor) -> (Vec<f32>, Vec<f32>) {
-        let (batch, ch, h, w) = (input.dim(0), input.dim(1), input.dim(2), input.dim(3));
+        let (batch, ch, h, w) = self.dims(input);
         let hw = h * w;
         let n = batch * hw;
         let x = input.data();
@@ -304,14 +272,15 @@ impl BatchNorm2d {
     }
 
     /// Normalizes with the given statistics and applies scale/shift; returns
-    /// `(out, normalized, inv_stds)` so `forward` can cache the latter two.
+    /// `(out, normalized, inv_stds)` so the training pass can cache the
+    /// latter two.
     fn apply_stats(
         &self,
         input: &Tensor,
         means: &[f32],
         vars: &[f32],
     ) -> (Tensor, Tensor, Vec<f32>) {
-        let (batch, ch, h, w) = (input.dim(0), input.dim(1), input.dim(2), input.dim(3));
+        let (batch, ch, h, w) = self.dims(input);
         let hw = h * w;
 
         let mut normalized = input.clone();
@@ -351,57 +320,28 @@ impl BatchNorm2d {
 }
 
 impl Layer for BatchNorm2d {
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
-        assert_eq!(input.ndim(), 4, "BatchNorm2d expects [batch, ch, h, w]");
-        assert_eq!(input.dim(1), self.scale.numel(), "BatchNorm2d channel mismatch");
-
-        let use_batch_stats = matches!(mode, Mode::Train | Mode::EvalBatchStats);
-        let (means, vars) = if use_batch_stats {
-            let (means, vars) = self.batch_stats(input);
-            if mode.is_train() {
-                for c in 0..means.len() {
-                    self.running_mean[c] =
-                        (1.0 - self.momentum) * self.running_mean[c] + self.momentum * means[c];
-                    self.running_var[c] =
-                        (1.0 - self.momentum) * self.running_var[c] + self.momentum * vars[c];
-                }
-            }
-            (means, vars)
-        } else {
-            (self.running_mean.clone(), self.running_var.clone())
-        };
-
-        let (out, normalized, inv_stds) = self.apply_stats(input, &means, &vars);
-        if mode.is_train() {
-            self.normalized_cache = Some(normalized);
-            self.inv_std_cache = inv_stds;
+    fn train_forward(&mut self, input: &Tensor) -> Tensor {
+        let (means, vars) = self.batch_stats(input);
+        for c in 0..means.len() {
+            self.running_mean[c] =
+                (1.0 - self.momentum) * self.running_mean[c] + self.momentum * means[c];
+            self.running_var[c] =
+                (1.0 - self.momentum) * self.running_var[c] + self.momentum * vars[c];
         }
+        let (out, normalized, inv_stds) = self.apply_stats(input, &means, &vars);
+        self.normalized_cache = Some(normalized);
+        self.inv_std_cache = inv_stds;
         out
     }
 
     fn infer(&self, input: &Tensor, mode: Mode) -> Tensor {
         mode.assert_inference();
-        assert_eq!(input.ndim(), 4, "BatchNorm2d expects [batch, ch, h, w]");
-        assert_eq!(input.dim(1), self.scale.numel(), "BatchNorm2d channel mismatch");
-
         let (means, vars) = if matches!(mode, Mode::EvalBatchStats) {
             self.batch_stats(input)
         } else {
             (self.running_mean.clone(), self.running_var.clone())
         };
         self.apply_stats(input, &means, &vars).0
-    }
-
-    fn clone_layer(&self) -> Box<dyn Layer> {
-        Box::new(Self {
-            scale: self.scale.clone(),
-            shift: self.shift.clone(),
-            running_mean: self.running_mean.clone(),
-            running_var: self.running_var.clone(),
-            momentum: self.momentum,
-            normalized_cache: None,
-            inv_std_cache: Vec::new(),
-        })
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
@@ -533,7 +473,7 @@ mod tests {
             let x = Tensor::randn(&[16, 2, 2, 2], 1.0, &mut rng).map(|v| v + 5.0);
             let _ = bn.forward(&x, Mode::Train);
         }
-        assert!((bn.running_mean()[0] - 5.0).abs() < 0.3);
+        assert!((bn.running_mean[0] - 5.0).abs() < 0.3);
         // Eval with shifted input: output mean reflects the mismatch.
         let x = Tensor::full(&[4, 2, 2, 2], 5.0);
         let y = bn.forward(&x, Mode::Eval);
@@ -550,13 +490,5 @@ mod tests {
         bn.scale.value_mut().data_mut().copy_from_slice(&[0.2, -0.1, 0.0]);
         bn.shift.value_mut().data_mut().copy_from_slice(&[0.1, 0.3, -0.2]);
         check_layer_gradients(&mut bn, &[4, 3, 3, 3], &GradCheckConfig::default(), &mut rng);
-    }
-
-    #[test]
-    fn set_running_stats_round_trips() {
-        let mut bn = BatchNorm2d::new(2);
-        bn.set_running_stats(&[1.0, 2.0], &[3.0, 4.0]);
-        assert_eq!(bn.running_mean(), &[1.0, 2.0]);
-        assert_eq!(bn.running_var(), &[3.0, 4.0]);
     }
 }

@@ -18,7 +18,7 @@ use crate::{Layer, Mode};
 /// assert_eq!(y.shape(), &[1, 1, 2, 2]);
 /// assert_eq!(y.data(), &[5.0, 7.0, 13.0, 15.0]);
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct MaxPool2d {
     kernel: usize,
     stride: usize,
@@ -37,7 +37,7 @@ impl MaxPool2d {
         Self { kernel, stride, argmax: Vec::new(), input_shape: Vec::new() }
     }
 
-    /// The cache-free pooling computation shared by `forward` and `infer`;
+    /// The cache-free pooling computation shared by both passes;
     /// returns the output plus the winning input index per output cell.
     fn compute(&self, input: &Tensor) -> (Tensor, Vec<usize>) {
         assert_eq!(input.ndim(), 4, "MaxPool2d expects [batch, ch, h, w]");
@@ -78,22 +78,16 @@ impl MaxPool2d {
 }
 
 impl Layer for MaxPool2d {
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
+    fn train_forward(&mut self, input: &Tensor) -> Tensor {
         let (out, argmax) = self.compute(input);
-        if mode.is_train() {
-            self.argmax = argmax;
-            self.input_shape = input.shape().to_vec();
-        }
+        self.argmax = argmax;
+        self.input_shape = input.shape().to_vec();
         out
     }
 
     fn infer(&self, input: &Tensor, mode: Mode) -> Tensor {
         mode.assert_inference();
         self.compute(input).0
-    }
-
-    fn clone_layer(&self) -> Box<dyn Layer> {
-        Box::new(Self::new(self.kernel, self.stride))
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
@@ -120,7 +114,7 @@ impl Layer for MaxPool2d {
 }
 
 /// Global average pooling: `[batch, ch, h, w]` → `[batch, ch]`.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct GlobalAvgPool {
     input_shape: Vec<usize>,
 }
@@ -130,10 +124,8 @@ impl GlobalAvgPool {
     pub fn new() -> Self {
         Self::default()
     }
-}
 
-impl GlobalAvgPool {
-    /// The cache-free pooling computation shared by `forward` and `infer`.
+    /// The cache-free pooling computation shared by both passes.
     fn compute(&self, input: &Tensor) -> Tensor {
         assert_eq!(input.ndim(), 4, "GlobalAvgPool expects [batch, ch, h, w]");
         let (batch, ch, h, w) = (input.dim(0), input.dim(1), input.dim(2), input.dim(3));
@@ -149,20 +141,14 @@ impl GlobalAvgPool {
 }
 
 impl Layer for GlobalAvgPool {
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
-        if mode.is_train() {
-            self.input_shape = input.shape().to_vec();
-        }
+    fn train_forward(&mut self, input: &Tensor) -> Tensor {
+        self.input_shape = input.shape().to_vec();
         self.compute(input)
     }
 
     fn infer(&self, input: &Tensor, mode: Mode) -> Tensor {
         mode.assert_inference();
         self.compute(input)
-    }
-
-    fn clone_layer(&self) -> Box<dyn Layer> {
-        Box::new(Self::new())
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {

@@ -44,46 +44,61 @@ pub fn write_tensors<W: Write>(mut w: W, entries: &[(String, Tensor)]) -> io::Re
 
 /// Reads named tensors from `r` in the `BRTS` format.
 ///
+/// Header fields are untrusted: entries and shapes grow as they are read,
+/// and names and data are read through [`Read::take`], so a forged count,
+/// length or dimension ends in an error, never in a huge allocation.
+///
 /// # Errors
 ///
 /// Returns an error on I/O failure, bad magic, unsupported version, invalid
-/// UTF-8 names, or truncated payloads.
+/// UTF-8 names, a shape whose element count overflows, or truncated
+/// payloads.
 pub fn read_tensors<R: Read>(mut r: R) -> io::Result<Vec<(String, Tensor)>> {
     let mut magic = [0u8; 4];
     r.read_exact(&mut magic)?;
     if &magic != MAGIC {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "not a BRTS tensor file"));
+        return Err(invalid("not a BRTS tensor file"));
     }
     let version = read_u32(&mut r)?;
     if version != VERSION {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("unsupported BRTS version {version}"),
-        ));
+        return Err(invalid(&format!("unsupported BRTS version {version}")));
     }
-    let count = read_u32(&mut r)? as usize;
-    let mut entries = Vec::with_capacity(count);
+    let count = read_u32(&mut r)?;
+    let mut entries = Vec::new();
     for _ in 0..count {
-        let name_len = read_u32(&mut r)? as usize;
-        let mut name_bytes = vec![0u8; name_len];
-        r.read_exact(&mut name_bytes)?;
-        let name = String::from_utf8(name_bytes)
-            .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "tensor name is not utf-8"))?;
-        let ndim = read_u32(&mut r)? as usize;
-        let mut shape = Vec::with_capacity(ndim);
+        let name_len = read_u32(&mut r)?;
+        let name = String::from_utf8(read_bytes(&mut r, u64::from(name_len))?)
+            .map_err(|_| invalid("tensor name is not utf-8"))?;
+        let ndim = read_u32(&mut r)?;
+        let mut shape = Vec::new();
         for _ in 0..ndim {
             shape.push(read_u32(&mut r)? as usize);
         }
-        let numel: usize = shape.iter().product();
-        let mut data = vec![0f32; numel];
-        let mut buf = [0u8; 4];
-        for v in &mut data {
-            r.read_exact(&mut buf)?;
-            *v = f32::from_le_bytes(buf);
-        }
+        let bytes = shape
+            .iter()
+            .try_fold(4usize, |n, &d| n.checked_mul(d))
+            .ok_or_else(|| invalid("tensor shape overflows"))?;
+        let data = read_bytes(&mut r, bytes as u64)?
+            .chunks_exact(4)
+            .map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+            .collect();
         entries.push((name, Tensor::from_vec(shape, data)));
     }
     Ok(entries)
+}
+
+fn invalid(message: &str) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, message)
+}
+
+/// Reads exactly `len` bytes, growing the buffer only as bytes arrive.
+fn read_bytes<R: Read>(r: &mut R, len: u64) -> io::Result<Vec<u8>> {
+    let mut buf = Vec::new();
+    r.take(len).read_to_end(&mut buf)?;
+    if buf.len() as u64 != len {
+        return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "truncated BRTS payload"));
+    }
+    Ok(buf)
 }
 
 fn write_u32<W: Write>(w: &mut W, v: u32) -> io::Result<()> {
@@ -139,5 +154,70 @@ mod tests {
         buf.extend_from_slice(&99u32.to_le_bytes());
         buf.extend_from_slice(&0u32.to_le_bytes());
         assert!(read_tensors(&buf[..]).is_err());
+    }
+
+    /// A version-1 header followed by `fields`, little-endian.
+    fn forged(fields: &[u32]) -> Vec<u8> {
+        let mut buf = MAGIC.to_vec();
+        for v in [VERSION].iter().chain(fields) {
+            buf.extend_from_slice(&v.to_le_bytes());
+        }
+        buf
+    }
+
+    /// Runs forged-header test `name` in a copy of this test binary whose
+    /// address space is capped at 1 GiB (on Linux). A buffer sized from a
+    /// forged header is then an abort, where uncapped it may be address
+    /// space that is never touched.
+    fn capped(name: &str, case: impl FnOnce()) {
+        const MARK: &str = "BRTS_TEST_CAPPED";
+        if !cfg!(target_os = "linux") || std::env::var_os(MARK).is_some() {
+            return case();
+        }
+        let exe = std::env::current_exe().expect("test binary path");
+        let out = std::process::Command::new("sh")
+            .args(["-c", "ulimit -v 1048576 && exec \"$0\" \"$@\""])
+            .arg(exe)
+            .args([&format!("serialize::tests::{name}"), "--exact", "--test-threads=1"])
+            .env(MARK, "1")
+            .output()
+            .expect("spawn the capped test");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            out.status.success() && stdout.contains("1 passed"),
+            "{name} failed under a 1 GiB address-space cap:\n{stdout}\n{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
+
+    #[test]
+    fn forged_entry_count_is_an_error() {
+        capped("forged_entry_count_is_an_error", || {
+            let err = read_tensors(&forged(&[u32::MAX])[..]).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        });
+    }
+
+    #[test]
+    fn forged_name_length_is_an_error() {
+        capped("forged_name_length_is_an_error", || {
+            let err = read_tensors(&forged(&[1, u32::MAX])[..]).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        });
+    }
+
+    #[test]
+    fn forged_data_length_is_an_error() {
+        capped("forged_data_length_is_an_error", || {
+            let err = read_tensors(&forged(&[1, 0, 2, 1 << 20, 1 << 20])[..]).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        });
+    }
+
+    #[test]
+    fn overflowing_dims_are_invalid_data() {
+        let forged = forged(&[1, 0, 3, u32::MAX, u32::MAX, u32::MAX]);
+        let err = read_tensors(&forged[..]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 }

@@ -2,8 +2,8 @@
 //! paper makes must hold on a small, fast task.
 
 use bitrobust_core::{
-    build, robust_eval, train, ArchKind, ChipAxis, NormKind, PattPattern, RandBetVariant,
-    TrainConfig, TrainMethod,
+    build, robust_eval, train, ArchKind, ChipAxis, NormKind, RandBetVariant, TrainConfig,
+    TrainMethod,
 };
 use bitrobust_data::{AugmentConfig, Dataset, SynthDataset};
 use bitrobust_nn::Model;
@@ -85,11 +85,8 @@ fn pattbet_fails_on_unseen_patterns() {
     // robustness of its own).
     let p = 0.2;
     let fixed_seed = 31_337;
-    let (patt, _, test_ds) = train_with(
-        TrainMethod::PattBet { wmax: None, pattern: PattPattern::Uniform { seed: fixed_seed, p } },
-        7,
-        8,
-    );
+    let (patt, _, test_ds) =
+        train_with(TrainMethod::PattBet { wmax: None, seed: fixed_seed, p }, 7, 8);
     let scheme = QuantScheme::rquant(SCHEME_BITS);
     // On its own pattern (chip 0 of a one-chip axis seeded with the
     // trained pattern's seed): fine.
